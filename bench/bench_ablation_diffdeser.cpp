@@ -4,8 +4,6 @@
 // the SAME code paths the server runtime drives (core::DiffDeserializer,
 // which ParsedReplica wraps under the replica lease):
 //   * FullParse    — conventional envelope parse every message;
-//   * ContentHit   — identical message through the connection-level diff
-//                    parser: one memcmp against the cache;
 //   * Replay       — the server's header-only replay path: apply_runs with
 //                    zero runs (no memcmp — the patch checksum already
 //                    proved the body unchanged);
@@ -14,6 +12,7 @@
 //                    the touched leaf regions.
 // The end-to-end counterpart (real round trips, both engines) is
 // bench_diffdeser; this figure isolates the deserializer itself.
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -72,33 +71,23 @@ void register_figure() {
                     }
                   });
 
-  register_series("AblationDiffDeser/ContentHit/Double",
-                  [](benchmark::State& state, std::size_t n) {
-                    const std::string doc = serialize(soap::make_double_array_call(
-                        soap::doubles_with_serialized_length(n, 18, 1)));
-                    core::DiffDeserializer deser;
-                    (void)deser.parse(doc);
-                    for (auto _ : state) {
-                      Result<const soap::RpcCall*> call = deser.parse(doc);
-                      BSOAP_ASSERT(call.ok());
-                      benchmark::DoNotOptimize(call.value());
-                    }
-                  });
-
   register_series("AblationDiffDeser/Replay/Double",
                   [](benchmark::State& state, std::size_t n) {
                     const std::string doc = serialize(soap::make_double_array_call(
                         soap::doubles_with_serialized_length(n, 18, 1)));
                     core::DiffDeserializer deser;
                     (void)deser.prime(doc);
+                    std::uint64_t content_hits = 0;
                     for (auto _ : state) {
                       Result<core::DiffDeserializer::ApplyReport> report =
                           deser.apply_runs(doc, {});
                       BSOAP_ASSERT(report.ok());
+                      content_hits += report.value().path ==
+                                      core::DiffDeserializer::ApplyPath::kContentHit;
                       benchmark::DoNotOptimize(&deser.call());
                     }
                     state.counters["content_hits"] =
-                        static_cast<double>(deser.stats().content_hits);
+                        static_cast<double>(content_hits);
                   });
 
   register_series(
@@ -126,21 +115,29 @@ void register_figure() {
         std::vector<std::vector<core::DiffDeserializer::DirtyRun>> runs = {
             byte_diff_runs(docs[1], docs[0], 18),
             byte_diff_runs(docs[0], docs[1], 18)};
+        std::uint64_t fast_parses = 0;
+        std::uint64_t demotions = 0;
+        const auto tally = [&](const core::DiffDeserializer::ApplyReport& r) {
+          fast_parses += r.path == core::DiffDeserializer::ApplyPath::kFastParse;
+          demotions += r.demoted;
+        };
         bool flip = false;
         // First transition: base -> docs[0].
-        (void)deser.apply_runs(docs[0], byte_diff_runs(base, docs[0], 18));
+        Result<core::DiffDeserializer::ApplyReport> first =
+            deser.apply_runs(docs[0], byte_diff_runs(base, docs[0], 18));
+        BSOAP_ASSERT(first.ok());
+        tally(first.value());
         for (auto _ : state) {
           flip = !flip;
           const std::size_t next = flip ? 1 : 0;
           Result<core::DiffDeserializer::ApplyReport> report =
               deser.apply_runs(docs[next], runs[next]);
           BSOAP_ASSERT(report.ok());
+          tally(report.value());
           benchmark::DoNotOptimize(&deser.call());
         }
-        state.counters["fast_parses"] =
-            static_cast<double>(deser.stats().fast_parses);
-        state.counters["demotions"] =
-            static_cast<double>(deser.stats().demotions);
+        state.counters["fast_parses"] = static_cast<double>(fast_parses);
+        state.counters["demotions"] = static_cast<double>(demotions);
       });
 }
 

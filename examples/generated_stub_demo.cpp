@@ -8,12 +8,11 @@
 #include "calc_stub.hpp"  // generated into the build tree
 #include "net/tcp.hpp"
 #include "server/server_runtime.hpp"
-#include "soap/soap_server.hpp"
 
 using namespace bsoap;
 
 int main() {
-  auto server = soap::SoapHttpServer::start(
+  auto server = server::ServerRuntime::start(
       [](const soap::RpcCall& call) -> Result<soap::Value> {
         if (call.method == "add") {
           return soap::Value::from_double(call.params[0].value.as_double() +
@@ -55,7 +54,7 @@ int main() {
 
   // Both directions are differential: the stub's client reuses its request
   // template, and the server runtime reuses its response templates.
-  const server::ServerStats stats = server.value()->runtime().stats();
+  const server::ServerStats stats = server.value()->stats();
   std::printf("server: %llu requests, response diff hits %llu/%llu\n",
               static_cast<unsigned long long>(stats.requests),
               static_cast<unsigned long long>(stats.response_diff_hits()),

@@ -40,7 +40,7 @@ int main() {
   std::mutex catalog_mutex;
   std::map<std::string, CatalogEntry> catalog;
 
-  auto server = soap::SoapHttpServer::start(
+  auto server = server::ServerRuntime::start(
       [&catalog, &catalog_mutex](
           const soap::RpcCall& call) -> Result<soap::Value> {
         std::lock_guard<std::mutex> lock(catalog_mutex);
@@ -142,7 +142,7 @@ int main() {
   // The responses took the differential path too: every addMetadata reply
   // has the same shape (an int count), so after the first one the server
   // only rewrote the changed digits.
-  const server::ServerStats stats = server.value()->runtime().stats();
+  const server::ServerStats stats = server.value()->stats();
   std::printf("server responses: first-time=%llu diff-hits=%llu/%llu\n",
               static_cast<unsigned long long>(stats.response_first_time),
               static_cast<unsigned long long>(stats.response_diff_hits()),

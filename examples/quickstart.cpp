@@ -12,13 +12,13 @@
 #include "core/client.hpp"
 #include "http/connection.hpp"
 #include "net/tcp.hpp"
-#include "soap/soap_server.hpp"
+#include "server/server_runtime.hpp"
 
 using namespace bsoap;
 
 int main() {
   // 1. A SOAP service: averages an array of doubles.
-  auto server = soap::SoapHttpServer::start(
+  auto server = server::ServerRuntime::start(
       [](const soap::RpcCall& call) -> Result<soap::Value> {
         const auto& data = call.params[0].value.doubles();
         double sum = 0;

@@ -9,7 +9,7 @@
 
 #include "core/client.hpp"
 #include "net/tcp.hpp"
-#include "soap/soap_server.hpp"
+#include "server/server_runtime.hpp"
 #include "wsdl/codegen.hpp"
 #include "wsdl/parser.hpp"
 #include "wsdl/validator.hpp"
@@ -49,7 +49,7 @@ int main() {
               stub.value().size(), stub.value().c_str());
 
   // 4. Run the service and make WSDL-validated differential calls.
-  auto server = soap::SoapHttpServer::start(
+  auto server = server::ServerRuntime::start(
       [](const soap::RpcCall& call) -> Result<soap::Value> {
         double sum = 0;
         for (const double v : call.params[0].value.doubles()) sum += v;

@@ -15,7 +15,7 @@ SendPipeline::Options pipeline_options(const BsoapClientConfig& config) {
                                config.differential,
                                config.max_templates,
                                config.max_template_bytes,
-                               config.effective_framing(),
+                               config.framing,
                                config.coding,
                                config.coding_min_bytes};
 }

@@ -55,9 +55,6 @@ struct BsoapClientConfig {
   /// Byte budget across saved templates (0 = unlimited); least recently
   /// used templates are evicted first once exceeded.
   std::size_t max_template_bytes = 0;
-  /// DEPRECATED — use `framing`. Kept one release as a source-compatible
-  /// shim; true forces Framing::kChunked regardless of `framing`.
-  bool http_chunked = false;
   std::string endpoint_path = "/";
   /// Wire framing of the request body (Content-Length or HTTP/1.1 chunked).
   http::Framing framing = http::Framing::kContentLength;
@@ -82,11 +79,6 @@ struct BsoapClientConfig {
   http::ContentCoding coding = http::ContentCoding::kIdentity;
   /// Request payloads smaller than this are never compressed.
   std::size_t coding_min_bytes = 256;
-
-  /// The framing in effect after the deprecated http_chunked shim.
-  http::Framing effective_framing() const {
-    return http_chunked ? http::Framing::kChunked : framing;
-  }
 
   // --- named fluent setters ---
   BsoapClientConfig& with_template_config(TemplateConfig t) {

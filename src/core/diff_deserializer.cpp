@@ -19,6 +19,31 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
+/// Heap bytes a parsed value owns (container capacities, recursively).
+std::size_t value_bytes(const soap::Value& value) {
+  using soap::ValueKind;
+  switch (value.kind()) {
+    case ValueKind::kString:
+      return value.as_string().capacity();
+    case ValueKind::kDoubleArray:
+      return value.doubles().capacity() * sizeof(double);
+    case ValueKind::kIntArray:
+      return value.ints().capacity() * sizeof(std::int32_t);
+    case ValueKind::kMioArray:
+      return value.mios().capacity() * sizeof(soap::Mio);
+    case ValueKind::kStruct: {
+      std::size_t n =
+          value.members().capacity() * sizeof(soap::Value::Member);
+      for (const soap::Value::Member& m : value.members()) {
+        n += m.name.capacity() + value_bytes(m.value);
+      }
+      return n;
+    }
+    default:
+      return 0;
+  }
+}
+
 }  // namespace
 
 void DiffDeserializer::reset() {
@@ -29,25 +54,18 @@ void DiffDeserializer::reset() {
   slots_.clear();
 }
 
-Result<const soap::RpcCall*> DiffDeserializer::parse(
-    std::string_view document) {
-  if (cache_valid_ && document == cached_doc_) {
-    ++stats_.content_hits;
-    return &cached_call_;
+std::size_t DiffDeserializer::bytes() const {
+  std::size_t n = cached_doc_.capacity() +
+                  regions_.capacity() * sizeof(LeafRegion) +
+                  slots_.capacity() * sizeof(LeafSlot) +
+                  touched_.capacity() * sizeof(std::size_t) +
+                  cached_call_.method.capacity() +
+                  cached_call_.service_namespace.capacity() +
+                  cached_call_.params.capacity() * sizeof(soap::Param);
+  for (const soap::Param& p : cached_call_.params) {
+    n += p.name.capacity() + value_bytes(p.value);
   }
-  if (cache_valid_ && fast_path_usable_ &&
-      document.size() == cached_doc_.size() && skeleton_matches(document)) {
-    const Status st = reparse_changed_regions(document);
-    if (st.ok()) {
-      ++stats_.fast_parses;
-      cached_doc_.assign(document);
-      return &cached_call_;
-    }
-    // A region failed to re-parse (should not happen for well-formed input);
-    // fall through to the full parse.
-  }
-  BSOAP_RETURN_IF_ERROR(full_parse(document));
-  return &cached_call_;
+  return n;
 }
 
 Status DiffDeserializer::prime(std::string_view document) {
@@ -56,7 +74,6 @@ Status DiffDeserializer::prime(std::string_view document) {
 
 Result<DiffDeserializer::ApplyReport> DiffDeserializer::demote(
     std::string_view document) {
-  ++stats_.demotions;
   BSOAP_RETURN_IF_ERROR(full_parse(document));
   ApplyReport report;
   report.path = ApplyPath::kFullParse;
@@ -74,7 +91,6 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
     return demote(document);
   }
   if (runs.empty()) {
-    ++stats_.content_hits;
     return ApplyReport{ApplyPath::kContentHit, 0, false};
   }
 
@@ -126,36 +142,7 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
     const Status st = reparse_slot(index, fresh);
     if (!st.ok()) return demote(document);
   }
-  ++stats_.fast_parses;
-  stats_.regions_reparsed += touched_.size();
   return ApplyReport{ApplyPath::kFastParse, touched_.size(), false};
-}
-
-bool DiffDeserializer::skeleton_matches(std::string_view document) const {
-  // Compare every byte outside the value regions.
-  std::size_t cursor = 0;
-  for (const LeafRegion& r : regions_) {
-    if (std::memcmp(document.data() + cursor, cached_doc_.data() + cursor,
-                    r.begin - cursor) != 0) {
-      return false;
-    }
-    cursor = r.end;
-  }
-  return std::memcmp(document.data() + cursor, cached_doc_.data() + cursor,
-                     document.size() - cursor) == 0;
-}
-
-Status DiffDeserializer::reparse_changed_regions(std::string_view document) {
-  for (std::size_t i = 0; i < regions_.size(); ++i) {
-    const LeafRegion& r = regions_[i];
-    const std::string_view fresh = document.substr(r.begin, r.end - r.begin);
-    const std::string_view old =
-        std::string_view(cached_doc_).substr(r.begin, r.end - r.begin);
-    if (fresh == old) continue;
-    ++stats_.regions_reparsed;
-    BSOAP_RETURN_IF_ERROR(reparse_slot(i, fresh));
-  }
-  return Status{};
 }
 
 Status DiffDeserializer::reparse_slot(std::size_t index,
@@ -260,7 +247,6 @@ void DiffDeserializer::collect_slots() {
 }
 
 Status DiffDeserializer::full_parse(std::string_view document) {
-  ++stats_.full_parses;
   Result<soap::RpcCall> call = soap::read_rpc_envelope(document);
   if (!call.ok()) {
     // The cache may already be torn (apply_runs copies run bytes before

@@ -2,26 +2,24 @@
 // implemented here as an extension.
 //
 // A server receiving a stream of similar messages can cache the parse of the
-// previous message: if a new document differs from the cached one only
-// inside value regions (and each region's length is unchanged, so the
-// surrounding "skeleton" bytes line up), the server re-parses just the
-// changed lexicals instead of the whole envelope. An identical document is a
-// content hit and costs one memcmp.
+// previous message. When the sender proves which bytes changed — the
+// diff-wire patch frame's dirty runs, backed by its whole-body checksum —
+// the server re-parses just the leaves those runs touch instead of the
+// whole envelope, and an unchanged document costs nothing at all.
 //
-// Two entry points share the cache:
-//
-//   parse(document)      — trusts nothing: memcmp for a content hit, then a
-//                          full skeleton scan before the region fast path.
+//   prime(document)       — full parse; (re)builds the cached call and the
+//                           leaf-region map (absolute body offsets of every
+//                           scalar leaf).
 //   apply_runs(doc, runs) — trusts the caller that every byte outside `runs`
-//                          equals the cached document (the diff-wire patch
-//                          checksum proves exactly this), so the fast path
-//                          touches only the dirty bytes: intersect the runs
-//                          with the leaf-region map, re-parse touched leaves
-//                          in place, and never walk the full message.
+//                           equals the cached document, so the fast path
+//                           touches only the dirty bytes: intersect the runs
+//                           with the leaf-region map, re-parse touched leaves
+//                           in place, and never walk the full message.
 //
-// Both paths degrade gracefully: any skeleton mismatch, length change,
-// structural byte inside a run, or unsupported shape demotes to a full parse
-// (which re-primes the cache and rebuilds the region map).
+// apply_runs degrades gracefully: a length change, a structural byte inside
+// a run, or an unsupported shape demotes to a full parse (which re-primes
+// the cache and rebuilds the region map). The ApplyReport says which path
+// served the request.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +35,6 @@ namespace bsoap::core {
 
 class DiffDeserializer {
  public:
-  struct Stats {
-    std::uint64_t full_parses = 0;
-    std::uint64_t content_hits = 0;   ///< document identical to cached
-    std::uint64_t fast_parses = 0;    ///< skeleton matched, regions re-parsed
-    std::uint64_t regions_reparsed = 0;
-    std::uint64_t demotions = 0;  ///< cached parse present but unusable
-  };
-
   /// One leaf's byte span in the cached document (text content of a
   /// childless element, absolute body offsets, [begin, end)). Regions are
   /// sorted by begin and stay valid across apply_runs() epochs because
@@ -73,12 +63,7 @@ class DiffDeserializer {
     bool demoted = false;  ///< a usable cache had to be thrown away
   };
 
-  /// Parses `document`, reusing the cached parse when possible. The returned
-  /// pointer stays valid until the next parse()/prime()/apply_runs() call.
-  Result<const soap::RpcCall*> parse(std::string_view document);
-
-  /// Unconditional full parse that (re)primes the cache. Equivalent to the
-  /// slow path of parse() without the content-hit/skeleton probes.
+  /// Unconditional full parse that (re)primes the cache.
   Status prime(std::string_view document);
 
   /// Updates the cached parse for `document`, which must equal the cached
@@ -91,7 +76,8 @@ class DiffDeserializer {
   Result<ApplyReport> apply_runs(std::string_view document,
                                  std::span<const DirtyRun> runs);
 
-  /// The cached call; valid only when primed().
+  /// The cached call; valid only when primed(). Stays put until the next
+  /// prime()/apply_runs() call.
   const soap::RpcCall& call() const { return cached_call_; }
   bool primed() const { return cache_valid_; }
   bool fast_path_usable() const { return fast_path_usable_; }
@@ -99,15 +85,9 @@ class DiffDeserializer {
   /// Leaf-region map of the cached document (absolute offsets, sorted).
   std::span<const LeafRegion> regions() const { return regions_; }
 
-  const Stats& stats() const { return stats_; }
-
-  /// Drains the counters: returns the totals accumulated since the last
-  /// take and zeroes them, so periodic aggregation never double-counts.
-  Stats take_stats() {
-    Stats out = stats_;
-    stats_ = Stats{};
-    return out;
-  }
+  /// Heap bytes the cache holds: the document copy, the parsed call and
+  /// the region/slot tables.
+  std::size_t bytes() const;
 
   /// Forgets the cached message.
   void reset();
@@ -122,8 +102,6 @@ class DiffDeserializer {
 
   Status full_parse(std::string_view document);
   Result<ApplyReport> demote(std::string_view document);
-  bool skeleton_matches(std::string_view document) const;
-  Status reparse_changed_regions(std::string_view document);
   Status reparse_slot(std::size_t index, std::string_view fresh);
   void collect_slots();
 
@@ -134,7 +112,6 @@ class DiffDeserializer {
   std::vector<std::size_t> touched_;  ///< apply_runs scratch (region indices)
   bool cache_valid_ = false;
   bool fast_path_usable_ = false;
-  Stats stats_;
 };
 
 }  // namespace bsoap::core

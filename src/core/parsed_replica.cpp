@@ -20,6 +20,16 @@ ParsedReplica::Lease ParsedReplica::make_lease(
   return lease;
 }
 
+Status ParsedReplica::prime_locked(std::string_view body) {
+  const Status st = deser_.prime(body);
+  if (!st.ok()) {
+    epoch_valid_ = false;
+    return st;
+  }
+  bytes_.store(deser_.bytes(), std::memory_order_relaxed);
+  return st;
+}
+
 Result<ParsedReplica::Lease> ParsedReplica::serve_full(
     std::shared_ptr<ParsedReplica> self, std::string_view body,
     std::uint32_t epoch, ServeReport* report) {
@@ -27,11 +37,7 @@ Result<ParsedReplica::Lease> ParsedReplica::serve_full(
   std::unique_lock<std::mutex> lock(p.mu_, std::try_to_lock);
   const bool contended = !lock.owns_lock();
   if (contended) lock.lock();
-  const Status st = p.deser_.prime(body);
-  if (!st.ok()) {
-    p.epoch_valid_ = false;
-    return st.error();
-  }
+  BSOAP_RETURN_IF_ERROR(p.prime_locked(body));
   p.epoch_ = epoch;
   p.epoch_valid_ = true;
   if (report != nullptr) {
@@ -56,11 +62,7 @@ Result<ParsedReplica::Lease> ParsedReplica::serve_patch(
     // The parse state lags the replica (attach raced a re-pin, or a prior
     // serve failed): resynchronize with a full parse. Not a demotion — the
     // cache never covered this epoch chain.
-    const Status st = p.deser_.prime(body);
-    if (!st.ok()) {
-      p.epoch_valid_ = false;
-      return st.error();
-    }
+    BSOAP_RETURN_IF_ERROR(p.prime_locked(body));
     applied.path = DiffDeserializer::ApplyPath::kFullParse;
   } else {
     p.run_scratch_.clear();
@@ -85,11 +87,6 @@ Result<ParsedReplica::Lease> ParsedReplica::serve_patch(
     report->demoted = applied.demoted;
   }
   return make_lease(std::move(self), std::move(lock), contended, report);
-}
-
-DiffDeserializer::Stats ParsedReplica::take_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return deser_.take_stats();
 }
 
 }  // namespace bsoap::core

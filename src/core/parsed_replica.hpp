@@ -27,6 +27,7 @@
 // a handler is reading.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -94,19 +95,26 @@ class ParsedReplica final : public diffwire::ReplicaAttachment {
                                    std::span<const diffwire::PatchRun> runs,
                                    ServeReport* report);
 
-  /// Drains the wrapped deserializer's counters (per-replica scoping).
-  DiffDeserializer::Stats take_stats();
+  /// The cached parse's heap bytes as of the last full parse (the cache's
+  /// size only changes when it is re-primed). Lock-free: the replica store
+  /// reads it while the serving lease may still hold the mutex.
+  std::size_t bytes() const override {
+    return bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   static Lease make_lease(std::shared_ptr<ParsedReplica> self,
                           std::unique_lock<std::mutex> lock, bool contended,
                           ServeReport* report);
+  /// Full parse under the held mutex; refreshes bytes_.
+  Status prime_locked(std::string_view body);
 
   std::mutex mu_;
   DiffDeserializer deser_;
   std::vector<DiffDeserializer::DirtyRun> run_scratch_;  // guarded by mu_
   std::uint32_t epoch_ = 0;
   bool epoch_valid_ = false;  ///< epoch_ matches the parse state
+  std::atomic<std::size_t> bytes_{0};
 };
 
 }  // namespace bsoap::core

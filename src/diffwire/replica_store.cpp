@@ -24,14 +24,15 @@ bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
   const auto it = index_.find(id);
   if (it != index_.end()) {
     Replica& replica = *it->second;
-    bytes_ -= replica.body.size() + replica.dict.size();
+    bytes_ -= replica.bytes();
     replica.body.assign(body);
     replica.epoch = 0;
     replica.dict.assign(options_.retain_dictionaries ? dict_tail(body)
                                                      : std::string_view{});
     replica.generation = gen;
     replica.attachment.reset();  // it described the replaced body
-    bytes_ += replica.body.size() + replica.dict.size();
+    replica.attachment_bytes = 0;
+    bytes_ += replica.bytes();
     lru_.splice(lru_.begin(), lru_, it->second);
     ++counters_.repins;
     enforce_budget_locked();
@@ -41,9 +42,9 @@ bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
                           options_.retain_dictionaries
                               ? std::string(dict_tail(body))
                               : std::string{},
-                          gen, nullptr});
+                          gen, nullptr, 0});
   index_[id] = lru_.begin();
-  bytes_ += lru_.front().body.size() + lru_.front().dict.size();
+  bytes_ += lru_.front().bytes();
   ++counters_.pins;
   enforce_budget_locked();
   return false;
@@ -54,7 +55,12 @@ bool ReplicaStore::attach(std::uint64_t id, std::uint64_t generation,
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(id);
   if (it == index_.end() || it->second->generation != generation) return false;
-  it->second->attachment = std::move(attachment);
+  Replica& replica = *it->second;
+  bytes_ -= replica.attachment_bytes;
+  replica.attachment_bytes = attachment != nullptr ? attachment->bytes() : 0;
+  replica.attachment = std::move(attachment);
+  bytes_ += replica.attachment_bytes;
+  enforce_budget_locked();
   return true;
 }
 
@@ -167,7 +173,7 @@ Status ReplicaStore::nack_locked(LruIter it, std::uint64_t id,
 }
 
 void ReplicaStore::remove_locked(LruIter it) {
-  bytes_ -= it->body.size() + it->dict.size();
+  bytes_ -= it->bytes();
   index_.erase(it->id);
   lru_.erase(it);
 }

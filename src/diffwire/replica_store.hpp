@@ -39,20 +39,24 @@
 namespace bsoap::diffwire {
 
 /// Opaque per-replica state a higher layer hangs off a pinned replica —
-/// e.g. the server's cached parse of the replica body. The store only
-/// manages its lifetime: a re-pin drops the attachment (the body it
+/// e.g. the server's cached parse of the replica body. The store manages
+/// its lifetime and its memory: a re-pin drops the attachment (the body it
 /// described is gone) and an eviction or NACK releases the store's
 /// reference, while in-flight holders keep theirs via the shared_ptr.
 class ReplicaAttachment {
  public:
   virtual ~ReplicaAttachment() = default;
+  /// Heap bytes the attachment holds, charged to the store's byte budget
+  /// when attached. Called under the store's lock: must not block.
+  virtual std::size_t bytes() const = 0;
 };
 
 class ReplicaStore {
  public:
   struct Options {
     std::size_t max_replicas = 64;
-    std::size_t max_bytes = 0;  ///< 0 = no byte budget
+    /// Budget over bodies, dictionaries and attachments; 0 = no budget.
+    std::size_t max_bytes = 0;
     /// Keep a preset-compression dictionary (the pin-generation body tail,
     /// ≤ 32 KiB) alongside each replica so preset-coded bodies can be
     /// decoded. Dictionary bytes count against max_bytes. Enabled by the
@@ -92,7 +96,8 @@ class ReplicaStore {
   /// Attaches per-replica state to `id`, but only while the replica is
   /// still the same pin generation the caller observed — a racing re-pin
   /// makes the attachment stale (it describes the old body) and the attach
-  /// is refused. Returns true when attached.
+  /// is refused. The attachment's bytes() count against max_bytes until
+  /// the replica is re-pinned or dropped. Returns true when attached.
   bool attach(std::uint64_t id, std::uint64_t generation,
               std::shared_ptr<ReplicaAttachment> attachment);
 
@@ -124,7 +129,7 @@ class ReplicaStore {
     std::uint64_t nacks = 0;    ///< rejected frames (replica erased)
     std::uint64_t evictions = 0;
     std::uint64_t pinned_replicas = 0;  ///< gauge
-    std::uint64_t pinned_bytes = 0;     ///< gauge
+    std::uint64_t pinned_bytes = 0;     ///< gauge (incl. attachments)
   };
   Stats stats() const;
 
@@ -141,6 +146,11 @@ class ReplicaStore {
     /// Monotonic pin counter: attach() refuses stale generations.
     std::uint64_t generation = 0;
     std::shared_ptr<ReplicaAttachment> attachment;
+    std::size_t attachment_bytes = 0;  ///< attachment->bytes() at attach
+
+    std::size_t bytes() const {
+      return body.size() + dict.size() + attachment_bytes;
+    }
   };
   using LruIter = std::list<Replica>::iterator;
 

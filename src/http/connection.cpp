@@ -38,11 +38,6 @@ Status HttpConnection::send_request(HttpRequest head, std::string_view body,
   return send_request(std::move(head), slices);
 }
 
-Status HttpConnection::send_request_gzip(HttpRequest head,
-                                         std::string_view body) {
-  return send_request(std::move(head), body, ContentCoding::kGzip);
-}
-
 Status HttpConnection::send_response(HttpResponse head, std::string_view body) {
   content_length_framer().add_headers(head.headers, body.size());
   const std::string head_text = serialize_response_head(head);

@@ -42,10 +42,6 @@ class HttpConnection {
   Status send_request(HttpRequest head, std::string_view body,
                       ContentCoding coding, std::string_view dict = {});
 
-  /// Deprecated: use send_request(head, body, ContentCoding::kGzip).
-  [[deprecated("use send_request(head, body, ContentCoding::kGzip)")]]
-  Status send_request_gzip(HttpRequest head, std::string_view body);
-
   Status send_response(HttpResponse head, std::string_view body);
 
   /// Reads one request via the resumable RequestParser (shared with the

@@ -14,7 +14,6 @@ Result<std::unique_ptr<Reactor>> Reactor::start(net::TcpListener listener,
                                                 Options options,
                                                 DispatchQueue* dispatch,
                                                 StatsCollector* stats) {
-  BSOAP_ASSERT(options.make_parser != nullptr);
   BSOAP_RETURN_IF_ERROR(listener.set_nonblocking());
   Result<net::EventPoller> poller = net::EventPoller::create();
   if (!poller.ok()) return poller.error();
@@ -155,7 +154,6 @@ void Reactor::add_connection(std::unique_ptr<net::Transport> transport,
   conn->transport = std::move(transport);
   conn->admitted = admitted;
   conn->parser.set_max_inflate_bytes(options_.max_inflate_bytes);
-  if (admitted) conn->envelope_parser = options_.make_parser();
 
   Conn& ref = *conn;
   if (!poller_.add(ref.fd, ref.id, /*read=*/true, /*write=*/false).ok()) {
@@ -251,7 +249,6 @@ void Reactor::dispatch_request(Conn& conn) {
   DispatchJob job;
   job.conn_id = conn.id;
   job.request = conn.parser.take();
-  job.parser = &conn.envelope_parser;
   job.transport = conn.transport.get();
   if (!dispatch_->try_push(std::move(job))) {
     // Every worker busy and the queue full: same overload answer the

@@ -39,7 +39,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -53,7 +52,6 @@
 #include "net/transport.hpp"
 #include "server/deadline.hpp"
 #include "server/server_stats.hpp"
-#include "soap/soap_server.hpp"
 
 namespace bsoap::server {
 
@@ -144,12 +142,12 @@ class DirectSliceTransport final : public net::Transport {
   bool write_error_ = false;
 };
 
-/// One fully-received request on its way to the worker pool. The envelope
-/// parser and transport are owned by the connection, which the reactor
-/// keeps alive while its request is in flight; a connection serves one
-/// request at a time and the reactor never touches a Dispatched
-/// connection's socket, so worker access to both is exclusive (handed off
-/// through the queue mutex, handed back through the completion mutex).
+/// One fully-received request on its way to the worker pool. The transport
+/// is owned by the connection, which the reactor keeps alive while its
+/// request is in flight; a connection serves one request at a time and the
+/// reactor never touches a Dispatched connection's socket, so worker access
+/// to it is exclusive (handed off through the queue mutex, handed back
+/// through the completion mutex).
 ///
 /// The transport lets the worker write the serialized response directly
 /// while the connection is parked — the common whole-response write then
@@ -161,7 +159,6 @@ struct DispatchJob {
   /// body: the diff-wire content type and negotiation headers decide
   /// whether the body is a SOAP envelope or a patch frame.
   http::HttpRequest request;
-  soap::EnvelopeParser* parser = nullptr;
   net::Transport* transport = nullptr;
 };
 
@@ -235,9 +232,6 @@ class Reactor {
   struct Options {
     std::size_t max_connections = 128;
     Timeouts timeouts;
-    /// Creates one request-envelope parser per connection (never null here;
-    /// ServerRuntime substitutes its default full parser).
-    std::function<soap::EnvelopeParser()> make_parser;
     /// Decompression-bomb bound for compressed request bodies, plumbed into
     /// every connection's RequestParser; an oversized body answers 413.
     std::size_t max_inflate_bytes = 1u << 30;
@@ -286,7 +280,6 @@ class Reactor {
     int fd = -1;
     ConnState state = ConnState::kIdle;
     http::RequestParser parser;
-    soap::EnvelopeParser envelope_parser;
     ConnDeadline deadline;
     std::string outbuf;
     std::size_t out_off = 0;

@@ -16,18 +16,6 @@ namespace bsoap::server {
 
 namespace {
 
-/// The default per-connection parser: a full envelope parse into storage
-/// that stays valid until the next request on the connection.
-soap::EnvelopeParser make_full_parser() {
-  return [storage = std::make_shared<soap::RpcCall>()](
-             std::string_view body) -> Result<const soap::RpcCall*> {
-    Result<soap::RpcCall> parsed = soap::read_rpc_envelope(body);
-    if (!parsed.ok()) return parsed.error();
-    *storage = std::move(parsed.value());
-    return storage.get();
-  };
-}
-
 bool coding_enabled(const std::vector<http::ContentCoding>& codings,
                     http::ContentCoding coding) {
   return std::find(codings.begin(), codings.end(), coding) != codings.end();
@@ -129,9 +117,6 @@ Result<std::unique_ptr<ServerRuntime>> ServerRuntime::start(
     reactor_options.timeouts.idle = server->options_.idle_timeout;
     reactor_options.timeouts.read = server->options_.read_timeout;
     reactor_options.timeouts.slice = server->options_.poll_slice;
-    reactor_options.make_parser = server->options_.make_parser
-                                      ? server->options_.make_parser
-                                      : make_full_parser;
     reactor_options.max_inflate_bytes = server->options_.max_inflate_bytes;
     reactor_options.overload_response = render_overload_response();
     Result<std::unique_ptr<Reactor>> reactor =
@@ -210,8 +195,7 @@ void ServerRuntime::reactor_worker_loop(Worker& worker) {
     // the blocking path would have written, so the engines' wire behavior
     // stays aligned.
     DirectSliceTransport direct(*job->transport);
-    const bool keep =
-        answer_request(worker, job->request, *job->parser, direct);
+    const bool keep = answer_request(worker, job->request, direct);
     Completion completion;
     completion.conn_id = job->conn_id;
     completion.keep_alive = keep;
@@ -238,9 +222,6 @@ void ServerRuntime::serve_connection(
   http::HttpConnection conn(transport);
   conn.set_max_inflate_bytes(options_.max_inflate_bytes);
 
-  soap::EnvelopeParser parser =
-      options_.make_parser ? options_.make_parser() : make_full_parser();
-
   for (;;) {
     transport.begin_idle();
     Result<http::HttpRequest> request = conn.read_request();
@@ -262,7 +243,7 @@ void ServerRuntime::serve_connection(
       break;  // kClosed: keep-alive ended cleanly
     }
 
-    if (!answer_request(worker, request.value(), parser, transport)) {
+    if (!answer_request(worker, request.value(), transport)) {
       break;  // the write failed: the connection is dead
     }
     if (draining_.load(std::memory_order_acquire)) break;
@@ -272,7 +253,6 @@ void ServerRuntime::serve_connection(
 
 bool ServerRuntime::answer_request(Worker& worker,
                                    const http::HttpRequest& request,
-                                   soap::EnvelopeParser& parser,
                                    net::Transport& transport) {
   std::string_view body = request.body;
   std::string reconstructed;  // patch sends: the replayed envelope
@@ -428,13 +408,13 @@ bool ServerRuntime::answer_request(Worker& worker,
 
   // Produce the handler's RpcCall. Diff-wire requests go through the
   // replica's cached parse (ParsedReplica) when differential
-  // deserialization is on and no custom parser is installed; everything
-  // else takes the per-connection parser. The lease must outlive the
-  // handler AND the response write — on the uncontended path the call
-  // points into the shared deserializer the lease's lock protects.
-  const bool fused = replicas_ != nullptr && options_.diff_deserialize &&
-                     !options_.make_parser;
+  // deserialization is on; everything else is a full parse into a
+  // request-local call. The lease must outlive the handler AND the
+  // response write — on the uncontended path the call points into the
+  // shared deserializer the lease's lock protects.
+  const bool fused = replicas_ != nullptr && options_.diff_deserialize;
   core::ParsedReplica::Lease lease;
+  soap::RpcCall full_call;
   const auto record_deser = [this](
                                 const core::ParsedReplica::ServeReport& r) {
     switch (r.path) {
@@ -494,7 +474,10 @@ bool ServerRuntime::answer_request(Worker& worker,
       lease = std::move(served.value());
       return &lease.call();
     }
-    return parser(body);
+    Result<soap::RpcCall> full = soap::read_rpc_envelope(body);
+    if (!full.ok()) return full.error();
+    full_call = std::move(full.value());
+    return &full_call;
   }();
   if (obs != nullptr) {
     obs->on_stage(RecvStage::kParse, elapsed_ns(parse_begin), body.size());

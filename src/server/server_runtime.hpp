@@ -45,7 +45,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -120,14 +119,16 @@ struct ServerRuntimeOptions {
   /// sends. Non-negotiating clients are unaffected either way.
   bool diffwire = true;
   std::size_t diffwire_replicas = 64;      ///< pinned bodies retained (LRU)
-  std::size_t diffwire_replica_bytes = 0;  ///< byte budget (0 = unlimited)
+  /// Byte budget over pinned bodies, preset dictionaries and cached parses
+  /// (0 = unlimited).
+  std::size_t diffwire_replica_bytes = 0;
 
   /// Differential deserialization: each pinned replica carries a cached
   /// parse (core::ParsedReplica), so a patch send re-parses only the
   /// leaves its dirty runs touch and a header-only replay serves the
-  /// handler with zero parse work. Requires diffwire; ignored when
-  /// make_parser installs a custom parser. Non-diff-wire requests always
-  /// take the ordinary full parse.
+  /// handler with zero parse work. Requires diffwire. Non-diff-wire
+  /// requests always take the ordinary full parse; false full-parses every
+  /// request (the reference the differential path is checked against).
   bool diff_deserialize = true;
 
   /// Optional receive-side stage observer (decode / patch-apply / parse),
@@ -148,11 +149,6 @@ struct ServerRuntimeOptions {
   /// deflate or deflate-preset) may inflate to. An oversized body is
   /// answered 413 Payload Too Large with a Client fault.
   std::size_t max_inflate_bytes = 1u << 30;
-
-  /// Creates one request-envelope parser per connection; null uses the full
-  /// parser (see core::make_diff_deserializing_options for the differential
-  /// one).
-  std::function<soap::EnvelopeParser()> make_parser;
 
   ServerRuntimeOptions() {
     // Responses repeat with value changes; stuffed numeric fields keep those
@@ -209,7 +205,7 @@ class ServerRuntime {
   /// construction. Returns false when the write failed and the connection
   /// must close.
   bool answer_request(Worker& worker, const http::HttpRequest& request,
-                      soap::EnvelopeParser& parser, net::Transport& transport);
+                      net::Transport& transport);
   /// Serializes a SOAP fault and sends it with the given HTTP status.
   /// Returns false if the write failed (connection is dead).
   bool send_fault(net::Transport& transport, int status, const char* reason,

@@ -61,10 +61,10 @@ struct ServerStats {
   std::uint64_t bytes_saved = 0;     ///< logical body bytes minus patch bytes
   std::uint64_t diff_pinned_replicas = 0; ///< gauge: replicas currently pinned
   std::uint64_t diff_pinned_bytes = 0;    ///< gauge: bytes those replicas hold
+                                          ///< (incl. their cached parses)
 
   // Differential deserialization (receive side; all zero when
-  // diff_deserialize is off, a custom parser is installed, or no client
-  // negotiated diff-wire).
+  // diff_deserialize is off or no client negotiated diff-wire).
   std::uint64_t deser_content_hits = 0;  ///< replays served with zero parsing
   std::uint64_t deser_fast_parses = 0;   ///< only touched leaves re-parsed
   std::uint64_t deser_full_parses = 0;   ///< whole-envelope parses (offers,

@@ -3,11 +3,6 @@
 #include "buffer/sinks.hpp"
 #include "soap/envelope_writer.hpp"
 
-// SoapHttpServer's member functions live in src/server/soap_http_server.cpp
-// (the bsoap_server library): the class fronts server::ServerRuntime, which
-// sits above bsoap_core, and bsoap_soap must stay below it. This file keeps
-// only the envelope helpers.
-
 namespace bsoap::soap {
 
 std::string serialize_rpc_response(const std::string& method,

@@ -1,78 +1,26 @@
-// SOAP-over-HTTP server.
+// SOAP-over-HTTP service surface: the handler signature and the envelope
+// helpers a service and its clients share.
 //
-// Two modes mirror the paper's setups:
-//  * a handler-driven service that parses each request envelope and returns
-//    a response envelope (used by the examples and integration tests), and
-//  * access to a raw drain endpoint lives in net/drain_server.hpp (the
-//    paper's dummy server that reads and discards bytes without parsing).
-//
-// SoapHttpServer is a thin facade over server::ServerRuntime — the bounded
-// worker pool with connection lifecycle management and response-side
-// differential serialization (src/server/server_runtime.hpp). Use the
-// runtime directly for tuning (worker count, timeouts, backlog) and for the
-// full ServerStats snapshot.
+// The server itself is server::ServerRuntime (src/server/server_runtime.hpp):
+// a bounded worker pool behind one of two connection engines, with
+// connection lifecycle management, response-side differential
+// serialization, the diff-wire patch protocol and differential
+// deserialization of patched requests. The paper's dummy drain server,
+// which reads and discards bytes without parsing, is net/drain_server.hpp.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <memory>
+#include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "soap/value.hpp"
-
-namespace bsoap::server {
-class ServerRuntime;
-}  // namespace bsoap::server
 
 namespace bsoap::soap {
 
 /// Computes the response value for a parsed RPC request. Handlers run on
 /// the runtime's worker pool: they must be safe to call concurrently.
 using RpcHandler = std::function<Result<Value>(const RpcCall&)>;
-
-/// Per-connection envelope parser: body bytes -> parsed call. The returned
-/// pointer must stay valid until the next invocation (a connection's
-/// requests are served sequentially by one worker). The default
-/// implementation runs a full read_rpc_envelope; bsoap::core supplies a
-/// differential-deserialization variant (paper Section 6) via
-/// make_diff_deserializing_options().
-using EnvelopeParser =
-    std::function<Result<const RpcCall*>(std::string_view body)>;
-
-struct SoapServerOptions {
-  /// Creates one EnvelopeParser per connection; null uses the default full
-  /// parser.
-  std::function<EnvelopeParser()> make_parser;
-};
-
-class SoapHttpServer {
- public:
-  /// Starts listening on an ephemeral loopback port.
-  static Result<std::unique_ptr<SoapHttpServer>> start(RpcHandler handler);
-  static Result<std::unique_ptr<SoapHttpServer>> start(
-      RpcHandler handler, SoapServerOptions options);
-
-  ~SoapHttpServer();
-
-  std::uint16_t port() const;
-
-  /// Requests served successfully so far.
-  std::uint64_t requests_served() const;
-  /// Requests that produced a SOAP fault (bad envelope or handler error).
-  std::uint64_t faults_returned() const;
-
-  /// The underlying runtime, for ServerStats and lifecycle detail.
-  server::ServerRuntime& runtime() { return *runtime_; }
-  const server::ServerRuntime& runtime() const { return *runtime_; }
-
-  /// Graceful drain: in-flight requests finish, then all threads join.
-  void stop();
-
- private:
-  SoapHttpServer() = default;
-
-  std::unique_ptr<server::ServerRuntime> runtime_;
-};
 
 /// Serializes a response envelope: <methodResponse><return>value</return>.
 std::string serialize_rpc_response(const std::string& method,

@@ -108,10 +108,7 @@ int write_u32(char* out, std::uint32_t value) noexcept {
 }
 
 int write_u64(char* out, std::uint64_t value) noexcept {
-  const TextconvTier tier = textconv_tier();
-  if (tier != TextconvTier::kScalar) {
-    return swar::write_u64(out, value, tier == TextconvTier::kSse2);
-  }
+  if (textconv_vectorized()) return swar::write_u64(out, value);
   return scalar::write_u64(out, value);
 }
 

@@ -5,7 +5,7 @@
 // NUL terminator is written. Buffers must be at least kMax*Chars long.
 //
 // The top-level functions dispatch on textconv_tier() (see swar.hpp):
-// SWAR/SSE2 emission by default, the scalar reference under the
+// SWAR emission by default, the scalar reference under the
 // BSOAP_FORCE_SCALAR_TEXTCONV kill-switch. Every tier produces identical
 // bytes and never writes past out + <returned length>.
 #pragma once

@@ -26,19 +26,11 @@ TextconvTier init_textconv_tier() noexcept {
 }  // namespace detail
 
 TextconvTier detect_textconv_tier() noexcept {
-#if defined(__SSE2__)
-  // SSE2 is part of the x86-64 baseline; no cpuid probe needed.
-  return TextconvTier::kSse2;
-#else
   // The SWAR kernels are plain 64-bit integer code: valid everywhere.
   return TextconvTier::kSwar;
-#endif
 }
 
 void set_textconv_tier(TextconvTier tier) noexcept {
-#if !defined(__SSE2__)
-  if (tier == TextconvTier::kSse2) tier = TextconvTier::kSwar;
-#endif
   detail::g_textconv_tier_plus1.store(static_cast<std::uint8_t>(tier) + 1,
                                       std::memory_order_relaxed);
 }

@@ -18,16 +18,15 @@
 //     out + length, so no byte past the returned length is ever touched
 //     and the existing "buffer holds kMax*Chars" contract is unchanged.
 //
-// Dispatch tiers (runtime, cheapest capable tier wins):
+// Dispatch tiers (runtime):
 //   kScalar — the pre-existing scalar code, kept verbatim under
 //             textconv::scalar:: as the differential-test reference and the
 //             BSOAP_FORCE_SCALAR_TEXTCONV kill-switch target;
-//   kSwar   — portable 64-bit SWAR (any architecture);
-//   kSse2   — x86-64: additionally pairs two ascii8 groups into single
-//             16-byte stores for >= 17-digit u64 values.
-// AVX2 was evaluated and intentionally NOT added: every bounded SOAP field
-// is at most kMaxDoubleChars (24) wide, so 32-byte lanes never fill and the
-// ymm<->gpr traffic costs more than the stores it would save.
+//   kSwar   — portable 64-bit SWAR (any architecture).
+// Wider SIMD stores were evaluated and intentionally NOT kept: every bounded
+// SOAP field is at most kMaxDoubleChars (24) wide, so 32-byte AVX2 lanes
+// never fill, and a 16-byte SSE2 store only ever replaced two 8-byte stores
+// for u64 values >= 10^16, which double formatting never produces.
 #pragma once
 
 #include <atomic>
@@ -35,15 +34,11 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace bsoap::textconv {
 
-/// Which conversion implementation the process is using. Ordered by
-/// capability; see the file comment for what each tier adds.
-enum class TextconvTier : std::uint8_t { kScalar = 0, kSwar = 1, kSse2 = 2 };
+/// Which conversion implementation the process is using; see the file
+/// comment.
+enum class TextconvTier : std::uint8_t { kScalar = 0, kSwar = 1 };
 
 namespace detail {
 /// Active tier + 1; 0 means "not yet initialized". Constant-initialized so
@@ -247,7 +242,7 @@ inline int write_u32(char* out, std::uint32_t value) noexcept {
   return len;
 }
 
-inline int write_u64(char* out, std::uint64_t value, bool sse2) noexcept {
+inline int write_u64(char* out, std::uint64_t value) noexcept {
   if (value < 100000000ull) {
     return write_u32(out, static_cast<std::uint32_t>(value));
   }
@@ -262,7 +257,7 @@ inline int write_u64(char* out, std::uint64_t value, bool sse2) noexcept {
                                value % 100000000ull)));
     return len;
   }
-  // 17..20 digits: head + two 8-groups (one 16-byte store on the SSE2 tier).
+  // 17..20 digits: head + two 8-groups.
   const std::uint32_t head =
       static_cast<std::uint32_t>(value / 10000000000000000ull);  // 1..1844
   const std::uint64_t rest = value % 10000000000000000ull;
@@ -273,17 +268,6 @@ inline int write_u64(char* out, std::uint64_t value, bool sse2) noexcept {
       ascii8(static_cast<std::uint32_t>(rest / 100000000ull));
   const std::uint64_t low =
       ascii8(static_cast<std::uint32_t>(rest % 100000000ull));
-#if defined(__SSE2__)
-  if (sse2) {
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(out + head_len),
-        _mm_set_epi64x(static_cast<long long>(low),
-                       static_cast<long long>(mid)));
-    return len;
-  }
-#else
-  (void)sse2;
-#endif
   store8(out + head_len, mid);
   store8(out + head_len + 8, low);
   return len;

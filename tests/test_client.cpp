@@ -15,6 +15,7 @@
 #include "net/inmemory.hpp"
 #include "net/tcp.hpp"
 #include "soap/envelope_reader.hpp"
+#include "server/server_runtime.hpp"
 #include "soap/soap_server.hpp"
 #include "soap/workload.hpp"
 
@@ -104,7 +105,7 @@ TEST(BsoapClient, HttpFramingHasCorrectContentLength) {
 TEST(BsoapClient, ChunkedHttpFraming) {
   auto [client_t, server_t] = net::make_inmemory_transports();
   BsoapClientConfig config;
-  config.http_chunked = true;  // deprecated shim; must still force kChunked
+  config.framing = http::Framing::kChunked;
   config.tmpl.chunk.chunk_size = 1024;  // force several chunks
   BsoapClient client(*client_t, config);
   CapturingServer server(*server_t);
@@ -447,7 +448,7 @@ TEST(BsoapClient, StuffedConfigKeepsStructuralMatchesUnderWidthChanges) {
 
 TEST(EndToEnd, InvokeAgainstSoapServer) {
   // Full RPC loop over real TCP against the handler-driven server.
-  auto server = soap::SoapHttpServer::start([](const RpcCall& call) -> Result<Value> {
+  auto server = server::ServerRuntime::start([](const RpcCall& call) -> Result<Value> {
     if (call.method != "sum") {
       return Error{ErrorCode::kNotFound, "unknown method"};
     }
@@ -473,7 +474,7 @@ TEST(EndToEnd, InvokeAgainstSoapServer) {
     ASSERT_TRUE(result.ok()) << result.error().to_string();
     EXPECT_EQ(result.value().as_double(), 7.0);
   }
-  EXPECT_EQ(server.value()->requests_served(), 3u);
+  EXPECT_EQ(server.value()->stats().requests, 3u);
 
   // Faults propagate as errors.
   call.method = "nope";
@@ -515,7 +516,7 @@ TEST(Baselines, XSoapLikeSendsParseableEnvelopes) {
 }
 
 TEST(Baselines, GSoapLikeInvokeRoundTrip) {
-  auto server = soap::SoapHttpServer::start(
+  auto server = server::ServerRuntime::start(
       [](const RpcCall& call) -> Result<Value> {
         return Value::from_int(
             static_cast<std::int32_t>(call.params.size()));

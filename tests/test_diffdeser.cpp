@@ -1,6 +1,6 @@
-// Tests for differential deserialization (Section 6 extension): content
-// hits, fast region re-parses, graceful fallback to full parsing, and the
-// run-guided apply_runs path the server's ParsedReplica drives.
+// Tests for differential deserialization (Section 6 extension): the
+// run-guided apply_runs path the server's ParsedReplica drives — content
+// hits, fast leaf re-parses, and graceful demotion to a full parse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,12 +10,8 @@
 #include <span>
 
 #include "buffer/sinks.hpp"
-#include "core/client.hpp"
 #include "core/diff_deserializer.hpp"
-#include "core/diff_server.hpp"
-#include "net/tcp.hpp"
 #include "soap/envelope_reader.hpp"
-#include "soap/soap_server.hpp"
 #include "soap/envelope_writer.hpp"
 #include "soap/workload.hpp"
 
@@ -65,95 +61,103 @@ void expect_matches_oracle(const DiffDeserializer& deser,
   EXPECT_EQ(serialize(deser.call()), serialize(oracle.value()));
 }
 
-TEST(DiffDeserializer, ContentHitOnIdenticalDocument) {
-  DiffDeserializer deser;
-  const std::string doc =
-      serialize(soap::make_double_array_call(soap::random_doubles(50, 1)));
-  ASSERT_TRUE(deser.parse(doc).ok());
-  EXPECT_EQ(deser.stats().full_parses, 1u);
-
-  Result<const RpcCall*> again = deser.parse(doc);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(deser.stats().content_hits, 1u);
-  EXPECT_EQ(deser.stats().full_parses, 1u);
-  EXPECT_EQ(again.value()->params[0].value.doubles().size(), 50u);
+/// Runs apply_runs for `fresh` against the cache (primed with `old_doc`),
+/// with the exact byte-diff runs between the two.
+Result<DiffDeserializer::ApplyReport> apply_diff(DiffDeserializer& deser,
+                                                 std::string_view old_doc,
+                                                 std::string_view fresh) {
+  if (old_doc.size() != fresh.size()) return deser.apply_runs(fresh, {});
+  const auto runs = byte_diff_runs(old_doc, fresh, 0);
+  return deser.apply_runs(fresh, runs);
 }
 
-TEST(DiffDeserializer, FastParseWhenRegionLengthsUnchanged) {
+TEST(DiffDeserializer, FastParseReparsesOnlyChangedLeaves) {
   DiffDeserializer deser;
   auto values = soap::doubles_with_serialized_length(60, 18, 2);
-  ASSERT_TRUE(deser.parse(serialize(soap::make_double_array_call(values))).ok());
+  const std::string doc = serialize(soap::make_double_array_call(values));
+  ASSERT_TRUE(deser.prime(doc).ok());
 
-  // Change several values to others of the SAME serialized length: skeleton
-  // bytes line up, so only the changed regions are re-parsed.
+  // Change several values to others of the SAME serialized length: the
+  // document keeps its length, so only the changed leaves are re-parsed.
   auto replacement = soap::doubles_with_serialized_length(5, 18, 3);
   for (int i = 0; i < 5; ++i) values[static_cast<std::size_t>(i * 11)] = replacement[static_cast<std::size_t>(i)];
-  Result<const RpcCall*> parsed =
-      deser.parse(serialize(soap::make_double_array_call(values)));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(deser.stats().fast_parses, 1u);
-  EXPECT_EQ(deser.stats().full_parses, 1u);
-  EXPECT_EQ(deser.stats().regions_reparsed, 5u);
-  EXPECT_EQ(parsed.value()->params[0].value.doubles(), values);
+  const std::string fresh = serialize(soap::make_double_array_call(values));
+  Result<DiffDeserializer::ApplyReport> report = apply_diff(deser, doc, fresh);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFastParse);
+  EXPECT_EQ(report.value().leaves_reparsed, 5u);
+  EXPECT_EQ(deser.call().params[0].value.doubles(), values);
 }
 
-TEST(DiffDeserializer, FallbackWhenLengthChanges) {
+TEST(DiffDeserializer, LengthChangeDemotes) {
   DiffDeserializer deser;
   auto values = soap::doubles_with_serialized_length(30, 18, 4);
-  ASSERT_TRUE(deser.parse(serialize(soap::make_double_array_call(values))).ok());
+  const std::string doc = serialize(soap::make_double_array_call(values));
+  ASSERT_TRUE(deser.prime(doc).ok());
 
   values[3] = 1.0;  // 1 char: document shrinks
-  Result<const RpcCall*> parsed =
-      deser.parse(serialize(soap::make_double_array_call(values)));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(deser.stats().full_parses, 2u);
-  EXPECT_EQ(deser.stats().fast_parses, 0u);
-  EXPECT_EQ(parsed.value()->params[0].value.doubles(), values);
+  const std::string fresh = serialize(soap::make_double_array_call(values));
+  Result<DiffDeserializer::ApplyReport> report = apply_diff(deser, doc, fresh);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
+  EXPECT_TRUE(report.value().demoted);
+  EXPECT_EQ(deser.call().params[0].value.doubles(), values);
 }
 
-TEST(DiffDeserializer, FallbackWhenStructureChanges) {
+TEST(DiffDeserializer, StructureChangeDemotes) {
   DiffDeserializer deser;
   ASSERT_TRUE(deser
-                  .parse(serialize(soap::make_double_array_call(
+                  .prime(serialize(soap::make_double_array_call(
                       soap::doubles_with_serialized_length(10, 18, 5))))
                   .ok());
-  // Same byte length achieved with a different method name would still be a
-  // skeleton mismatch; simpler: different array size.
-  Result<const RpcCall*> parsed = deser.parse(serialize(
-      soap::make_double_array_call(soap::doubles_with_serialized_length(11, 18, 6))));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(deser.stats().full_parses, 2u);
+  const std::string fresh = serialize(
+      soap::make_double_array_call(soap::doubles_with_serialized_length(11, 18, 6)));
+  Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(fresh, {});
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
+  EXPECT_TRUE(report.value().demoted);
+  expect_matches_oracle(deser, fresh);
 }
 
 TEST(DiffDeserializer, MioRegions) {
   DiffDeserializer deser;
   auto mios = soap::mios_with_serialized_length(40, 36, 7);
-  ASSERT_TRUE(deser.parse(serialize(soap::make_mio_array_call(mios))).ok());
+  const std::string doc = serialize(soap::make_mio_array_call(mios));
+  ASSERT_TRUE(deser.prime(doc).ok());
 
   // Replace one MIO's double with another of the same width.
   const auto replacement = soap::mios_with_serialized_length(1, 36, 8)[0];
   mios[9].value = replacement.value;
-  Result<const RpcCall*> parsed =
-      deser.parse(serialize(soap::make_mio_array_call(mios)));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(deser.stats().fast_parses, 1u);
-  EXPECT_EQ(parsed.value()->params[0].value.mios(), mios);
+  const std::string fresh = serialize(soap::make_mio_array_call(mios));
+  Result<DiffDeserializer::ApplyReport> report = apply_diff(deser, doc, fresh);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFastParse);
+  EXPECT_EQ(report.value().leaves_reparsed, 1u);
+  EXPECT_EQ(deser.call().params[0].value.mios(), mios);
 }
 
 TEST(DiffDeserializer, MalformedDocumentFails) {
   DiffDeserializer deser;
-  EXPECT_FALSE(deser.parse("<not-soap/>").ok());
+  EXPECT_FALSE(deser.prime("<not-soap/>").ok());
+  EXPECT_FALSE(deser.primed());
+  EXPECT_FALSE(deser.apply_runs("<not-soap/>", {}).ok());
 }
 
 TEST(DiffDeserializer, ResetForgetsCache) {
   DiffDeserializer deser;
   const std::string doc =
       serialize(soap::make_double_array_call(soap::random_doubles(10, 9)));
-  ASSERT_TRUE(deser.parse(doc).ok());
+  ASSERT_TRUE(deser.prime(doc).ok());
+  ASSERT_TRUE(deser.primed());
   deser.reset();
-  ASSERT_TRUE(deser.parse(doc).ok());
-  EXPECT_EQ(deser.stats().full_parses, 2u);
-  EXPECT_EQ(deser.stats().content_hits, 0u);
+  EXPECT_FALSE(deser.primed());
+  // Unprimed again: the replay that would have been a content hit is a
+  // plain full parse (not a demotion — there was no cache to throw away).
+  Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(doc, {});
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
+  EXPECT_FALSE(report.value().demoted);
+  expect_matches_oracle(deser, doc);
 }
 
 TEST(DiffDeserializer, ScalarParamsDisableFastPathSafely) {
@@ -162,13 +166,27 @@ TEST(DiffDeserializer, ScalarParamsDisableFastPathSafely) {
   call.method = "m";
   call.service_namespace = "urn:s";
   call.params.push_back(soap::Param{"x", soap::Value::from_int(12345)});
-  ASSERT_TRUE(deser.parse(serialize(call)).ok());
+  const std::string doc = serialize(call);
+  ASSERT_TRUE(deser.prime(doc).ok());
+  EXPECT_FALSE(deser.fast_path_usable());
   call.params[0].value = soap::Value::from_int(54321);  // same width
-  Result<const RpcCall*> parsed = deser.parse(serialize(call));
-  ASSERT_TRUE(parsed.ok());
+  const std::string fresh = serialize(call);
+  Result<DiffDeserializer::ApplyReport> report = apply_diff(deser, doc, fresh);
+  ASSERT_TRUE(report.ok());
   // Scalar leaves are not slot-addressable: full parse, but still correct.
-  EXPECT_EQ(deser.stats().full_parses, 2u);
-  EXPECT_EQ(parsed.value()->params[0].value.as_int(), 54321);
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
+  EXPECT_EQ(deser.call().params[0].value.as_int(), 54321);
+}
+
+TEST(DiffDeserializer, BytesCoverDocumentAndParsedCall) {
+  DiffDeserializer deser;
+  EXPECT_LT(deser.bytes(), 64u);
+  const auto values = soap::doubles_with_serialized_length(1000, 18, 12);
+  const std::string doc = serialize(soap::make_double_array_call(values));
+  ASSERT_TRUE(deser.prime(doc).ok());
+  // The document copy, the parsed doubles and one region + slot per leaf.
+  EXPECT_GE(deser.bytes(), doc.size() + values.size() * sizeof(double) +
+                               values.size() * (2 * sizeof(std::size_t)));
 }
 
 TEST(DiffDeserializerApplyRuns, EmptyRunsAreAContentHit) {
@@ -179,8 +197,8 @@ TEST(DiffDeserializerApplyRuns, EmptyRunsAreAContentHit) {
   Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(doc, {});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kContentHit);
-  EXPECT_EQ(deser.stats().content_hits, 1u);
-  EXPECT_EQ(deser.stats().full_parses, 1u);
+  EXPECT_EQ(report.value().leaves_reparsed, 0u);
+  EXPECT_FALSE(report.value().demoted);
   expect_matches_oracle(deser, doc);
 }
 
@@ -226,7 +244,7 @@ TEST(DiffDeserializerApplyRuns, RunCoveringCloseTagFastParses) {
   Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(fresh, runs);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFastParse);
-  EXPECT_EQ(deser.stats().demotions, 0u);
+  EXPECT_FALSE(report.value().demoted);
   expect_matches_oracle(deser, fresh);
 }
 
@@ -308,7 +326,6 @@ TEST(DiffDeserializerApplyRuns, StructuralByteChangeDemotes) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
   EXPECT_TRUE(report.value().demoted);
-  EXPECT_EQ(deser.stats().demotions, 1u);
   EXPECT_EQ(deser.call().method, "sendDatb");
   expect_matches_oracle(deser, fresh);
 }
@@ -342,7 +359,6 @@ TEST(DiffDeserializerApplyRuns, ReparseFailureDemotesAndInvalidatesCache) {
 
   Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(fresh, runs);
   EXPECT_FALSE(report.ok());
-  EXPECT_EQ(deser.stats().demotions, 1u);
   EXPECT_FALSE(deser.primed());
 
   // Recovery: a later full body re-primes cleanly.
@@ -373,6 +389,7 @@ TEST(DiffDeserializerApplyRuns, RandomizedDirtyRunSweepsMatchOracle) {
     std::string doc = serialize(soap::make_double_array_call(values));
     ASSERT_TRUE(deser.prime(doc).ok());
     ASSERT_TRUE(deser.fast_path_usable());
+    int full_parses = 0;
 
     for (int epoch = 1; epoch <= 10; ++epoch) {
       const std::size_t dirty =
@@ -390,68 +407,13 @@ TEST(DiffDeserializerApplyRuns, RandomizedDirtyRunSweepsMatchOracle) {
           deser.apply_runs(fresh, runs);
       ASSERT_TRUE(report.ok());
       EXPECT_FALSE(report.value().demoted);
+      full_parses += report.value().path ==
+                     DiffDeserializer::ApplyPath::kFullParse;
       expect_matches_oracle(deser, fresh);
       doc = std::move(fresh);
     }
-    EXPECT_EQ(deser.stats().demotions, 0u);
-    EXPECT_EQ(deser.stats().full_parses, 1u);
+    EXPECT_EQ(full_parses, 0);
   }
-}
-
-TEST(DiffDeserializer, TakeStatsDrainsCounters) {
-  DiffDeserializer deser;
-  const std::string doc = serialize(
-      soap::make_double_array_call(soap::doubles_with_serialized_length(5, 18, 52)));
-  ASSERT_TRUE(deser.parse(doc).ok());
-  ASSERT_TRUE(deser.parse(doc).ok());  // content hit
-
-  const DiffDeserializer::Stats drained = deser.take_stats();
-  EXPECT_EQ(drained.full_parses, 1u);
-  EXPECT_EQ(drained.content_hits, 1u);
-  EXPECT_EQ(deser.stats().full_parses, 0u);
-  EXPECT_EQ(deser.stats().content_hits, 0u);
-
-  ASSERT_TRUE(deser.parse(doc).ok());
-  EXPECT_EQ(deser.take_stats().content_hits, 1u);  // only the new delta
-}
-
-TEST(DiffServerIntegration, ContentHitsAcrossRequests) {
-  auto collector = std::make_shared<DiffDeserCollector>();
-  auto server = soap::SoapHttpServer::start(
-      [](const RpcCall& call) -> Result<soap::Value> {
-        return soap::Value::from_int(
-            static_cast<std::int32_t>(call.params[0].value.doubles().size()));
-      },
-      make_diff_deserializing_options(collector));
-  ASSERT_TRUE(server.ok());
-
-  Result<std::unique_ptr<net::Transport>> transport =
-      net::tcp_connect(server.value()->port());
-  ASSERT_TRUE(transport.ok());
-  BsoapClient client(*transport.value());
-
-  // Identical calls: first a full parse, then server-side content hits
-  // (the client resends stored bytes, the server memcmps its cache).
-  const RpcCall call = soap::make_double_array_call(
-      soap::doubles_with_serialized_length(30, 18, 10));
-  for (int i = 0; i < 4; ++i) {
-    Result<soap::Value> result = client.invoke(call);
-    ASSERT_TRUE(result.ok()) << result.error().to_string();
-    EXPECT_EQ(result.value().as_int(), 30);
-  }
-  EXPECT_EQ(collector->full_parses(), 1u);
-  EXPECT_EQ(collector->content_hits(), 3u);
-
-  // Same-width value change: client rewrites one field in place, server
-  // re-parses only the changed region.
-  RpcCall changed = call;
-  changed.params[0].value.doubles()[4] =
-      soap::doubles_with_serialized_length(1, 18, 11)[0];
-  Result<soap::Value> result = client.invoke(changed);
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_EQ(collector->fast_parses(), 1u);
-
-  server.value()->stop();
 }
 
 }  // namespace

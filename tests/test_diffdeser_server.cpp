@@ -25,6 +25,8 @@
 #include "buffer/sinks.hpp"
 #include "common/rng.hpp"
 #include "core/client.hpp"
+#include "core/parsed_replica.hpp"
+#include "diffwire/replica_store.hpp"
 #include "diffwire/wire_format.hpp"
 #include "http/http_message.hpp"
 #include "net/tcp.hpp"
@@ -489,6 +491,66 @@ TEST(DiffDeserServer, OversizedPatchBodyAnswers413) {
   EXPECT_EQ(server.value()->stats().bad_requests, 1u);
   EXPECT_EQ(server.value()->stats().patch_sends, 0u);
   server.value()->stop();
+}
+
+// --- the replica byte budget charges cached parses -------------------------
+
+// The replica byte budget covers each replica's cached parse, not only its
+// body: a ParsedReplica holds a second copy of the body plus the parsed
+// call and the region/slot tables, so charging only the body let twice as
+// many replicas stay pinned as the budget was sized for.
+TEST(DiffDeserServer, ReplicaBudgetChargesTheCachedParse) {
+  constexpr std::size_t kReplicas = 4;
+  const auto body_for = [](std::uint64_t seed) {
+    return serialize(soap::make_double_array_call(
+        soap::doubles_with_serialized_length(200, 18, seed)));
+  };
+  const auto parsed_for = [](const std::string& body) {
+    auto parsed = std::make_shared<core::ParsedReplica>();
+    EXPECT_TRUE(core::ParsedReplica::serve_full(parsed, body, 0, nullptr).ok());
+    return parsed;
+  };
+  const std::string probe_body = body_for(1);
+  const std::size_t parse_bytes = parsed_for(probe_body)->bytes();
+  ASSERT_GT(parse_bytes, probe_body.size());  // outweighs the body alone
+  const std::size_t footprint = probe_body.size() + parse_bytes;
+
+  diffwire::ReplicaStore::Options options;
+  options.max_replicas = 100;
+  options.max_bytes = kReplicas * footprint;
+  diffwire::ReplicaStore store(options);
+  for (std::uint64_t id = 1; id <= 2 * kReplicas; ++id) {
+    const std::string body = body_for(id);
+    std::uint64_t generation = 0;
+    store.pin(id, body, &generation);
+    ASSERT_TRUE(store.attach(id, generation, parsed_for(body)));
+  }
+  diffwire::ReplicaStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.pinned_replicas, kReplicas);
+  EXPECT_EQ(stats.evictions, kReplicas);
+  EXPECT_EQ(stats.pinned_bytes, kReplicas * footprint);
+
+  // A re-pin drops the stale parse and releases its charge.
+  const std::uint64_t newest = 2 * kReplicas;
+  store.pin(newest, body_for(newest));
+  stats = store.stats();
+  EXPECT_EQ(stats.pinned_bytes, kReplicas * footprint - parse_bytes);
+  EXPECT_EQ(store.attachment(newest), nullptr);
+
+  // A NACK erases the replica with its parse.
+  const std::uint64_t attached = newest - 1;
+  diffwire::PatchFrame bad;
+  bad.header.template_id = attached;
+  bad.header.epoch = 7;  // epoch gap
+  bad.header.body_len = static_cast<std::uint32_t>(probe_body.size());
+  std::string scratch;
+  EXPECT_FALSE(store.apply(bad, &scratch).ok());
+  stats = store.stats();
+  EXPECT_EQ(stats.pinned_replicas, kReplicas - 1);
+  EXPECT_EQ(stats.pinned_bytes, (kReplicas - 1) * footprint - parse_bytes);
+
+  store.clear();
+  EXPECT_EQ(store.stats().pinned_bytes, 0u);
 }
 
 // --- stress: 8 clients x 8 workers ------------------------------------------

@@ -168,7 +168,8 @@ TEST(ReplicaStore, AppliesRunsAndAdvancesEpoch) {
   EXPECT_TRUE(store.pin(42, "hello world"));   // re-pin reported
 
   const std::string v1 = "hello earth";
-  Result<PatchFrame> frame = decode_patch(make_patch(42, 1, v1, 6, 5));
+  const std::string frame_wire = make_patch(42, 1, v1, 6, 5);
+  Result<PatchFrame> frame = decode_patch(frame_wire);
   ASSERT_TRUE(frame.ok());
   std::string reconstructed;
   ASSERT_TRUE(store.apply(frame.value(), &reconstructed).ok());
@@ -176,7 +177,8 @@ TEST(ReplicaStore, AppliesRunsAndAdvancesEpoch) {
 
   // Epoch chains: the next frame must carry 2.
   const std::string v2 = "hellooearth";
-  Result<PatchFrame> next = decode_patch(make_patch(42, 2, v2, 0, 6));
+  const std::string next_wire = make_patch(42, 2, v2, 0, 6);
+  Result<PatchFrame> next = decode_patch(next_wire);
   ASSERT_TRUE(next.ok());
   ASSERT_TRUE(store.apply(next.value(), &reconstructed).ok());
   EXPECT_EQ(reconstructed, v2);
@@ -193,7 +195,8 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
   // Unknown ID.
   {
     ReplicaStore store;
-    Result<PatchFrame> frame = decode_patch(make_patch(1, 1, "xx", 0, 1));
+    const std::string frame_wire = make_patch(1, 1, "xx", 0, 1);
+    Result<PatchFrame> frame = decode_patch(frame_wire);
     std::string out;
     const Status applied = store.apply(frame.value(), &out);
     EXPECT_FALSE(applied.ok());
@@ -204,10 +207,12 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
   {
     ReplicaStore store;
     store.pin(1, "hello");
-    Result<PatchFrame> gap = decode_patch(make_patch(1, 2, "hellp", 4, 1));
+    const std::string gap_wire = make_patch(1, 2, "hellp", 4, 1);
+    Result<PatchFrame> gap = decode_patch(gap_wire);
     std::string out;
     EXPECT_FALSE(store.apply(gap.value(), &out).ok());
-    Result<PatchFrame> ok_frame = decode_patch(make_patch(1, 1, "hellp", 4, 1));
+    const std::string ok_frame_wire = make_patch(1, 1, "hellp", 4, 1);
+    Result<PatchFrame> ok_frame = decode_patch(ok_frame_wire);
     const Status after = store.apply(ok_frame.value(), &out);
     EXPECT_FALSE(after.ok());
     EXPECT_EQ(after.error().code, ErrorCode::kNotFound);
@@ -218,7 +223,8 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
   {
     ReplicaStore store;
     store.pin(1, "hello");
-    Result<PatchFrame> frame = decode_patch(make_patch(1, 1, "hello!", 0, 1));
+    const std::string frame_wire = make_patch(1, 1, "hello!", 0, 1);
+    Result<PatchFrame> frame = decode_patch(frame_wire);
     std::string out;
     EXPECT_FALSE(store.apply(frame.value(), &out).ok());
   }
@@ -265,7 +271,8 @@ TEST(ReplicaStore, LruEvictionUnderCountBudget) {
   EXPECT_EQ(store.stats().evictions, 1u);
   EXPECT_EQ(store.stats().pinned_replicas, 2u);
   std::string out;
-  Result<PatchFrame> frame = decode_patch(make_patch(1, 1, "onx", 2, 1));
+  const std::string frame_wire = make_patch(1, 1, "onx", 2, 1);
+  Result<PatchFrame> frame = decode_patch(frame_wire);
   EXPECT_EQ(store.apply(frame.value(), &out).error().code,
             ErrorCode::kNotFound);
 }

@@ -339,7 +339,7 @@ INSTANTIATE_TEST_SUITE_P(Widths, DtoaWidthSweep,
 
 // --- vectorized tier vs scalar reference ------------------------------------
 //
-// The SWAR/SSE2 conversion tiers must be byte-identical to the scalar code
+// The SWAR conversion tier must be byte-identical to the scalar code
 // they replace: the differential-serialization invariants (serialized_len,
 // content matches, patch checksums) all assume one value has exactly one
 // lexical form.
@@ -355,11 +355,7 @@ TEST(TextconvTiers, KillSwitchAndOverride) {
   TierGuard guard(TextconvTier::kScalar);
   EXPECT_FALSE(textconv_vectorized());
   set_textconv_tier(detect_textconv_tier());
-#if defined(__SSE2__)
-  EXPECT_EQ(textconv_tier(), TextconvTier::kSse2);
-#else
   EXPECT_EQ(textconv_tier(), TextconvTier::kSwar);
-#endif
   EXPECT_TRUE(textconv_vectorized());
 }
 
