@@ -191,20 +191,6 @@ std::vector<ChunkedBuffer::Slice> ChunkedBuffer::slices() const {
   return out;
 }
 
-ChunkedBuffer ChunkedBuffer::clone() const {
-  BSOAP_ASSERT(reserved_ == 0);
-  ChunkedBuffer out(config_);
-  out.chunks_.reserve(chunks_.size());
-  for (const Chunk& c : chunks_) {
-    Chunk copy = make_chunk(c.capacity);
-    std::memcpy(copy.data.get(), c.data.get(), c.size);
-    copy.size = c.size;
-    out.chunks_.push_back(std::move(copy));
-  }
-  out.total_size_ = total_size_;
-  return out;
-}
-
 void ChunkedBuffer::clear() {
   chunks_.clear();
   total_size_ = 0;

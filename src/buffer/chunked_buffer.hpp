@@ -157,11 +157,6 @@ class ChunkedBuffer {
     }
   }
 
-  /// Deep copy: same chunk layout (sizes and capacities), same bytes. Chunk
-  /// geometry must match exactly — positions recorded in a DUT table remain
-  /// valid against the copy. Must not be called with a reservation open.
-  ChunkedBuffer clone() const;
-
   /// Removes all content but keeps the configuration.
   void clear();
 

@@ -361,16 +361,6 @@ void MessageTemplate::RunWriter::rewrite_i32(std::size_t idx, std::int32_t v) {
   rewrite(idx, text, static_cast<std::uint32_t>(len));
 }
 
-std::unique_ptr<MessageTemplate> MessageTemplate::clone() const {
-  BSOAP_ASSERT(journal_ == nullptr);
-  auto copy = std::make_unique<MessageTemplate>(config_);
-  copy->buffer_ = buffer_.clone();
-  copy->dut_ = dut_;
-  copy->stats_ = stats_;
-  copy->signature = signature;
-  return copy;
-}
-
 bool MessageTemplate::check_invariants() const {
   if (!buffer_.check_invariants()) return false;
   if (!dut_.check_invariants()) return false;

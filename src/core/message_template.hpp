@@ -249,14 +249,6 @@ class MessageTemplate {
     char* base_ = nullptr;
   };
 
-  /// Deep copy: chunks, DUT entries, dirty mask, shadow copies (strings and
-  /// SoA planes) and stats. Far cheaper than re-serializing the call from
-  /// scratch — a few memcpys — which is what makes replica provisioning in
-  /// the shared template cache worthwhile. The clone carries no journal: a
-  /// template is only cloned while its owner holds it exclusively and no
-  /// update is in flight.
-  std::unique_ptr<MessageTemplate> clone() const;
-
   /// Internal consistency: buffer and DUT agree (every entry's region is in
   /// range, value+tag+padding bytes are coherent). Test hook.
   bool check_invariants() const;

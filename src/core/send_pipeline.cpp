@@ -1,6 +1,7 @@
 #include "core/send_pipeline.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/timing.hpp"
 #include "diffwire/wire_format.hpp"
@@ -89,22 +90,23 @@ MessageTemplate* SendPipeline::resolve_and_update(const soap::RpcCall& call,
     r.match = MatchKind::kFirstTime;
     clock.lap(SendStage::kUpdate, tmpl->buffer().total_size());
   } else {
-    const std::uint64_t signature = call.structure_signature();
-    lease_ = template_source().checkout(signature);
+    end_checkout(/*drop=*/false);  // a failed send left without recovery
+    tmpl = store_.find(call.structure_signature());
     clock.lap(SendStage::kResolve, 0);
-    if (!lease_) {
-      lease_ = template_source().publish(build_template(call, options_.tmpl));
-      tmpl = lease_.get();
+    if (tmpl == nullptr) {
+      tmpl = store_.insert(build_template(call, options_.tmpl));
+      checkout_ = tmpl;
+      checkout_bytes_ = tmpl->buffer().total_size();
       if (journal_ != nullptr) {
-        // The fresh template enters the source as if the send completed; a
-        // failed write must invalidate the lease (the peer's view is
-        // unknowable).
+        // The fresh template enters the store as if the send completed; a
+        // failed write must drop it (the peer's view is unknowable).
         recovery_ctx_ = RecoveryContext::kFirstTime;
       }
       r.match = MatchKind::kFirstTime;
       clock.lap(SendStage::kUpdate, tmpl->buffer().total_size());
     } else {
-      tmpl = lease_.get();
+      checkout_ = tmpl;
+      checkout_bytes_ = tmpl->buffer().total_size();
       if (journal_ != nullptr) {
         journal_->begin(*tmpl);
         recovery_ctx_ = RecoveryContext::kDiff;
@@ -120,6 +122,18 @@ MessageTemplate* SendPipeline::resolve_and_update(const soap::RpcCall& call,
   return tmpl;
 }
 
+void SendPipeline::end_checkout(bool drop) {
+  if (checkout_ == nullptr) return;
+  MessageTemplate* tmpl = std::exchange(checkout_, nullptr);
+  store_.note_growth(static_cast<std::ptrdiff_t>(tmpl->buffer().total_size()) -
+                     static_cast<std::ptrdiff_t>(checkout_bytes_));
+  if (drop) {
+    store_.erase(tmpl->signature);  // subtracts the now-current size
+  } else {
+    store_.enforce_byte_budget();
+  }
+}
+
 Result<SendReport> SendPipeline::send(const soap::RpcCall& call,
                                       const SendDestination& dest) {
   SendReport report;
@@ -128,18 +142,19 @@ Result<SendReport> SendPipeline::send(const soap::RpcCall& call,
   const Status written =
       frame_and_write(*tmpl, call.method, dest, HeadKind::kRequest, &report);
   if (!written.ok()) {
-    // With a journal armed the lease stays out until recover_failed_send()
-    // decides rollback-and-return vs invalidate; without one, return the
-    // replica now (a retrying sender without a journal gets no guarantees).
-    if (recovery_ctx_ == RecoveryContext::kNone) lease_.release();
+    // With a journal armed the template stays checked out until
+    // recover_failed_send() decides rollback-and-keep vs drop; without one,
+    // return it now (a retrying sender without a journal gets no
+    // guarantees).
+    if (recovery_ctx_ == RecoveryContext::kNone) end_checkout(/*drop=*/false);
     return written.error();
   }
   if (journal_ != nullptr && journal_->armed()) journal_->commit(*tmpl);
   recovery_ctx_ = RecoveryContext::kNone;
-  // Returning the lease folds the update's growth delta into the source's
-  // byte accounting and enforces its budget after the bytes are on the wire
-  // (a partial structural match may have grown the template past it).
-  lease_.release();
+  // Returning the checkout folds the update's growth into the store's byte
+  // accounting and enforces its budget after the bytes are on the wire (a
+  // partial structural match may have grown the template past it).
+  end_checkout(/*drop=*/false);
   if (observer_ != nullptr) observer_->on_send(report);
   return report;
 }
@@ -152,12 +167,12 @@ Result<SendReport> SendPipeline::send_response(const soap::RpcCall& call,
   const Status written =
       frame_and_write(*tmpl, call.method, dest, HeadKind::kResponse, &report);
   if (!written.ok()) {
-    if (recovery_ctx_ == RecoveryContext::kNone) lease_.release();
+    if (recovery_ctx_ == RecoveryContext::kNone) end_checkout(/*drop=*/false);
     return written.error();
   }
   if (journal_ != nullptr && journal_->armed()) journal_->commit(*tmpl);
   recovery_ctx_ = RecoveryContext::kNone;
-  lease_.release();
+  end_checkout(/*drop=*/false);
   if (observer_ != nullptr) observer_->on_send(report);
   return report;
 }
@@ -207,18 +222,18 @@ Recovery SendPipeline::recover_failed_send() {
     case RecoveryContext::kNone:
       return Recovery::kNone;
     case RecoveryContext::kFirstTime:
-      // The freshly built replica's bytes may never have reached the peer.
-      lease_.invalidate();
+      // The freshly built template's bytes may never have reached the peer.
+      end_checkout(/*drop=*/true);
       return Recovery::kInvalidated;
     case RecoveryContext::kDiff: {
       BSOAP_ASSERT(journal_ != nullptr && journal_->armed());
       const bool untouched = journal_->empty();
       if (journal_->rollback(*tmpl)) {
-        // Restored exactly: the replica is safe to return to the source.
-        lease_.release();
+        // Restored exactly: the template is safe to keep.
+        end_checkout(/*drop=*/false);
         return untouched ? Recovery::kNone : Recovery::kRolledBack;
       }
-      lease_.invalidate();
+      end_checkout(/*drop=*/true);
       return Recovery::kInvalidated;
     }
     case RecoveryContext::kTracked: {
@@ -450,7 +465,7 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
 
       // body_slices_ was filled by build_patch_frame; the run bytes may be
       // referenced in place from the template buffer, which stays valid
-      // (and unmutated — the lease is still out) across this write.
+      // (and unmutated) across this write.
       wire_slices_.clear();
       wire_slices_.push_back(
           net::ConstSlice{head_text_.data(), head_text_.size()});

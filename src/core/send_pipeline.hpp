@@ -275,15 +275,6 @@ class SendPipeline {
   TemplateStore& store() { return store_; }
   const Options& options() const { return options_; }
 
-  /// Redirects template resolution to an external source — the server
-  /// runtime points every worker's pipeline at one process-wide
-  /// SharedTemplateCache, so workers reuse each other's response templates.
-  /// nullptr restores the pipeline-private store (the default). Must not be
-  /// called while a send is in flight or awaiting recover_failed_send().
-  void set_template_source(TemplateStoreLike* source) {
-    template_source_ = source;
-  }
-
  private:
   /// Which HTTP head the frame stage constructs.
   enum class HeadKind { kRequest, kResponse };
@@ -310,17 +301,20 @@ class SendPipeline {
     kTracked,    ///< differential update against a caller-owned template
   };
 
-  TemplateStoreLike& template_source() {
-    return template_source_ != nullptr ? *template_source_ : store_;
-  }
+  /// Ends the current checkout (no-op when nothing is checked out): folds
+  /// the stored template's growth since checkout into the store's byte
+  /// accounting, then either enforces the store's byte budget or, with
+  /// `drop`, erases the template so the next send of its call structure is
+  /// first-time.
+  void end_checkout(bool drop);
 
   /// Gathers the patch frame for a diff-wire patch send (dirty runs from
   /// the armed journal, or a header-only replay frame) into body_slices_,
   /// returning the frame's total byte count. With `slice_body` set, only
   /// the patch header and run headers are materialized (in patch_buf_);
   /// each run's bytes are referenced as sub-slices of the template buffer
-  /// — zero copies, sound because the write completes while the template
-  /// lease is held. Otherwise the whole frame is flattened into patch_buf_
+  /// — zero copies, sound because the write completes before the template
+  /// is updated again. Otherwise the whole frame is flattened into patch_buf_
   /// (the chunked framer wraps each body slice as one HTTP chunk, so slice
   /// emission would change its wire bytes).
   std::size_t build_patch_frame(MessageTemplate& tmpl, std::uint64_t wire_id,
@@ -337,18 +331,18 @@ class SendPipeline {
 
   Options options_;
   TemplateStore store_;
-  TemplateStoreLike* template_source_ = nullptr;
   SendObserver* observer_ = nullptr;
   const http::Framer* framer_override_ = nullptr;
   UpdateJournal* journal_ = nullptr;
   diffwire::ClientSession* diffwire_ = nullptr;
   RecoveryContext recovery_ctx_ = RecoveryContext::kNone;
   MessageTemplate* recovery_tmpl_ = nullptr;
-  /// The checkout covering the current differential send. Held across the
-  /// write so a failed attempt can be recovered (rollback returns the
-  /// replica, structural failure invalidates it); released when the send
-  /// completes. Declared after store_: leases must die before their source.
-  TemplateLease lease_;
+  /// The stored template the current differential send resolved to, and
+  /// its serialized size when resolved. Held across the write so a failed
+  /// attempt can be recovered (rollback returns it, a structural failure
+  /// drops it); returned when the send completes.
+  MessageTemplate* checkout_ = nullptr;
+  std::size_t checkout_bytes_ = 0;
   /// Recycled template for non-differential (full-serialization) mode.
   std::unique_ptr<MessageTemplate> full_mode_scratch_;
   // Per-send scratch, reused so steady-state sends allocate nothing:

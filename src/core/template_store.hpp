@@ -1,5 +1,4 @@
-// Saved-template store and the checkout seam senders resolve templates
-// through.
+// Saved-template store.
 //
 // The paper keeps one saved template per remote service per call type;
 // Section 6 (future work) suggests storing several. TemplateStore
@@ -9,14 +8,13 @@
 // a long-running server keeping response templates for many RPC shapes
 // bounds its memory rather than its template count.
 //
-// TemplateStoreLike is the seam above it: SendPipeline checks templates out
-// through leases rather than raw find/insert, so the same resolve stage can
-// run against a pipeline-private TemplateStore (the default, no locking) or
-// a process-wide SharedTemplateCache shared by server workers (see
-// core/shared_template_cache.hpp). A lease is the exclusive right to mutate
-// one template replica for the duration of one send; returning it reports
-// the size delta the update produced, which is what keeps byte accounting
-// O(1) instead of a per-eviction walk.
+// Every SendPipeline owns one store, used from the pipeline's thread only,
+// so the store does no locking. The pipeline resolves with find (a hit) or
+// insert (a first-time send); after the send it reports the size delta the
+// update produced through note_growth, which keeps byte accounting O(1)
+// instead of a per-eviction walk. A server worker owns its own pipeline, so
+// each worker serializes a given response shape at most once while the
+// shape stays stored.
 #pragma once
 
 #include <cstdint>
@@ -28,136 +26,7 @@
 
 namespace bsoap::core {
 
-class TemplateStoreLike;
-
-/// Exclusive checkout of one template replica from a TemplateStoreLike.
-/// Move-only RAII: destruction (or release()) returns the replica to its
-/// source, which re-admits it — applying the size delta the send's update
-/// stage produced — or retires it. invalidate() drops the replica instead:
-/// send recovery uses it when a failed send left the template's agreement
-/// with the peer unknowable (first-time bytes the peer may not have seen,
-/// or a structural update the journal cannot unwind).
-class TemplateLease {
- public:
-  TemplateLease() = default;
-  TemplateLease(TemplateLease&& rhs) noexcept { move_from(rhs); }
-  TemplateLease& operator=(TemplateLease&& rhs) noexcept {
-    if (this != &rhs) {
-      release();
-      move_from(rhs);
-    }
-    return *this;
-  }
-  ~TemplateLease() { release(); }
-
-  MessageTemplate* get() const { return view_; }
-  MessageTemplate* operator->() const { return view_; }
-  explicit operator bool() const { return view_ != nullptr; }
-  std::uint64_t signature() const { return signature_; }
-
-  /// Returns the replica to the source (no-op when empty).
-  void release();
-  /// Drops the replica: it never returns to the source, and the source
-  /// forgets it (the next checkout of this signature misses).
-  void invalidate();
-
- private:
-  friend class TemplateStoreLike;
-
-  void move_from(TemplateLease& rhs) {
-    source_ = rhs.source_;
-    view_ = rhs.view_;
-    owned_ = std::move(rhs.owned_);
-    signature_ = rhs.signature_;
-    checkout_bytes_ = rhs.checkout_bytes_;
-    rhs.source_ = nullptr;
-    rhs.view_ = nullptr;
-  }
-
-  TemplateStoreLike* source_ = nullptr;
-  MessageTemplate* view_ = nullptr;
-  /// Set when ownership travels with the lease (SharedTemplateCache hands
-  /// the replica out of the cache entirely); null when the source keeps
-  /// ownership and the lease only views (TemplateStore).
-  std::unique_ptr<MessageTemplate> owned_;
-  std::uint64_t signature_ = 0;
-  std::size_t checkout_bytes_ = 0;
-};
-
-/// The seam SendPipeline resolves templates through: checkout an existing
-/// template for a signature, or publish a freshly built one. Implemented by
-/// the pipeline-private TemplateStore and by the cross-worker
-/// SharedTemplateCache.
-class TemplateStoreLike {
- public:
-  virtual ~TemplateStoreLike() = default;
-
-  /// Checks out the template for `signature`; an empty lease means the
-  /// caller must serialize first-time and publish the result.
-  virtual TemplateLease checkout(std::uint64_t signature) = 0;
-
-  /// Admits a freshly built template (keyed by its signature). The returned
-  /// lease views it, so the first-time send and any later recovery go
-  /// through the same handle as a checkout hit.
-  virtual TemplateLease publish(std::unique_ptr<MessageTemplate> tmpl) = 0;
-
- protected:
-  friend class TemplateLease;
-
-  /// Called exactly once per non-empty lease, from release
-  /// (invalidate=false) or invalidate (true). `owned` carries the replica
-  /// back when ownership traveled with the lease; null for view-only
-  /// leases. `checkout_bytes` is the replica's serialized size at checkout,
-  /// so the source can apply the update's growth delta in O(1).
-  virtual void finish(std::uint64_t signature,
-                      std::unique_ptr<MessageTemplate> owned,
-                      MessageTemplate* view, std::size_t checkout_bytes,
-                      bool invalidate) = 0;
-
-  static TemplateLease make_lease(TemplateStoreLike* source,
-                                  MessageTemplate* view,
-                                  std::unique_ptr<MessageTemplate> owned,
-                                  std::uint64_t signature,
-                                  std::size_t checkout_bytes) {
-    TemplateLease lease;
-    lease.source_ = source;
-    lease.view_ = view;
-    lease.owned_ = std::move(owned);
-    lease.signature_ = signature;
-    lease.checkout_bytes_ = checkout_bytes;
-    return lease;
-  }
-};
-
-inline void TemplateLease::release() {
-  if (source_ == nullptr) {
-    view_ = nullptr;
-    owned_.reset();
-    return;
-  }
-  TemplateStoreLike* source = source_;
-  source_ = nullptr;
-  MessageTemplate* view = view_;
-  view_ = nullptr;
-  source->finish(signature_, std::move(owned_), view, checkout_bytes_,
-                 /*invalidate=*/false);
-}
-
-inline void TemplateLease::invalidate() {
-  if (source_ == nullptr) {
-    view_ = nullptr;
-    owned_.reset();
-    return;
-  }
-  TemplateStoreLike* source = source_;
-  source_ = nullptr;
-  MessageTemplate* view = view_;
-  view_ = nullptr;
-  source->finish(signature_, std::move(owned_), view, checkout_bytes_,
-                 /*invalidate=*/true);
-}
-
-class TemplateStore final : public TemplateStoreLike {
+class TemplateStore {
  public:
   /// `max_bytes` == 0 means no byte budget (count-only LRU).
   explicit TemplateStore(std::size_t capacity = 8, std::size_t max_bytes = 0)
@@ -209,9 +78,9 @@ class TemplateStore final : public TemplateStoreLike {
   }
 
   /// Applies the size delta of an in-place update to a stored template.
-  /// The lease return path reports this automatically; code that mutates a
-  /// stored template behind the store's back must report it too, or the
-  /// debug cross-check trips.
+  /// SendPipeline reports this after every send; code that mutates a stored
+  /// template behind the store's back must report it too, or the debug
+  /// cross-check trips.
   void note_growth(std::ptrdiff_t delta) {
     bytes_ = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(bytes_) +
                                       delta);
@@ -255,39 +124,6 @@ class TemplateStore final : public TemplateStoreLike {
   /// invalidation tallies are history, not contents — they survive).
   void clear() {
     while (!lru_.empty()) remove(std::prev(lru_.end()));
-  }
-
-  // --- TemplateStoreLike ---------------------------------------------------
-  // The pipeline-private backend: leases are views (ownership stays in the
-  // LRU), checkout is find, and the return path folds the update's growth
-  // delta into the cached byte total then enforces the budget.
-
-  TemplateLease checkout(std::uint64_t signature) override {
-    MessageTemplate* tmpl = find(signature);
-    if (tmpl == nullptr) return TemplateLease{};
-    return make_lease(this, tmpl, nullptr, signature,
-                      tmpl->buffer().total_size());
-  }
-
-  TemplateLease publish(std::unique_ptr<MessageTemplate> tmpl) override {
-    const std::uint64_t signature = tmpl->signature;
-    MessageTemplate* stored = insert(std::move(tmpl));
-    return make_lease(this, stored, nullptr, signature,
-                      stored->buffer().total_size());
-  }
-
- protected:
-  void finish(std::uint64_t signature, std::unique_ptr<MessageTemplate> owned,
-              MessageTemplate* view, std::size_t checkout_bytes,
-              bool invalidate) override {
-    BSOAP_ASSERT(owned == nullptr);
-    if (invalidate) {
-      erase(signature);
-      return;
-    }
-    note_growth(static_cast<std::ptrdiff_t>(view->buffer().total_size()) -
-                static_cast<std::ptrdiff_t>(checkout_bytes));
-    enforce_byte_budget();
   }
 
  private:

@@ -110,6 +110,13 @@ Result<PatchFrame> decode_patch(std::string_view body) {
   frame.header.body_len = read_u32(p + 24);
   frame.header.checksum = read_u64(p + 28);
 
+  // run_count is wire-supplied: bound it by the run headers the body can
+  // actually hold before it sizes an allocation.
+  if (frame.header.run_count >
+      (body.size() - kFrameHeaderSize) / kRunHeaderSize) {
+    return Error{ErrorCode::kProtocolError,
+                 "patch run count exceeds frame size"};
+  }
   std::size_t pos = kFrameHeaderSize;
   frame.runs.reserve(frame.header.run_count);
   for (std::uint32_t i = 0; i < frame.header.run_count; ++i) {

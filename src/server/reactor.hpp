@@ -22,8 +22,8 @@
 // path's PacedTransport polls on, enforced here by a DeadlineHeap keyed
 // into epoll_wait's timeout.
 //
-// Workers serialize the response through the identical SendPipeline/
-// shared-cache path as the blocking engine, straight onto the parked
+// Workers serialize the response through the identical per-worker
+// SendPipeline path as the blocking engine, straight onto the parked
 // connection's socket through a DirectSliceTransport (exclusive while
 // Dispatched — the reactor holds no epoll interest there): the pipeline's
 // slice list goes out as one gathered writev with no flatten, keeping the
@@ -81,12 +81,12 @@ class CaptureTransport final : public net::Transport {
 };
 
 /// Zero-copy worker→socket handoff. Wraps the parked connection's
-/// non-blocking socket; the send pipeline's write stage lands here while
-/// the worker still holds the template lease, so the response's ConstSlice
-/// list — head, template chunks, framing — goes to the socket as one
-/// gathered writev with no intermediate flatten. Only what the socket
-/// buffer refuses (EAGAIN) is copied: the template mutates after the lease
-/// returns, so the unwritten tail must be snapshotted for the reactor's
+/// non-blocking socket; the send pipeline's write stage lands here before
+/// the worker's next send can touch the template, so the response's
+/// ConstSlice list — head, template chunks, framing — goes to the socket as
+/// one gathered writev with no intermediate flatten. Only what the socket
+/// buffer refuses (EAGAIN) is copied: the template mutates on the worker's
+/// next send, so the unwritten tail must be snapshotted for the reactor's
 /// EPOLLOUT drain. `copied_bytes()` counts exactly those bytes — zero on
 /// the happy path.
 ///

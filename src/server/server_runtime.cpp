@@ -83,17 +83,6 @@ Result<std::unique_ptr<ServerRuntime>> ServerRuntime::start(
   pipeline_options.max_templates = server->options_.response_templates;
   pipeline_options.max_template_bytes =
       server->options_.response_template_bytes;
-  if (server->options_.shared_cache && server->options_.diff_responses) {
-    core::SharedTemplateCache::Options cache_options;
-    cache_options.shards = server->options_.shared_cache_shards;
-    cache_options.max_replicas =
-        server->options_.shared_cache_replicas != 0
-            ? server->options_.shared_cache_replicas
-            : std::max<std::size_t>(2, server->options_.workers / 2);
-    cache_options.max_bytes = server->options_.shared_cache_bytes;
-    server->shared_cache_ =
-        std::make_unique<core::SharedTemplateCache>(cache_options);
-  }
   if (server->options_.diffwire) {
     diffwire::ReplicaStore::Options replica_options;
     replica_options.max_replicas = server->options_.diffwire_replicas;
@@ -106,9 +95,6 @@ Result<std::unique_ptr<ServerRuntime>> ServerRuntime::start(
   for (std::size_t i = 0; i < server->options_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
     worker->pipeline = std::make_unique<core::SendPipeline>(pipeline_options);
-    if (server->shared_cache_ != nullptr) {
-      worker->pipeline->set_template_source(server->shared_cache_.get());
-    }
     server->workers_.push_back(std::move(worker));
   }
   if (reactor_mode) {
@@ -529,14 +515,11 @@ bool ServerRuntime::answer_request(Worker& worker,
         static_cast<std::uint64_t>(sent.value().coding_ns),
         std::memory_order_relaxed);
   }
-  if (shared_cache_ == nullptr) {
-    const core::TemplateStore& store = worker.pipeline->store();
-    worker.template_bytes.store(store.bytes_retained(),
-                                std::memory_order_relaxed);
-    worker.template_evictions.store(
-        store.evictions() + store.byte_evictions(), std::memory_order_relaxed);
-  }
-  // Shared-cache gauges are read straight off the cache in stats().
+  const core::TemplateStore& store = worker.pipeline->store();
+  worker.template_bytes.store(store.bytes_retained(),
+                              std::memory_order_relaxed);
+  worker.template_evictions.store(store.evictions() + store.byte_evictions(),
+                                  std::memory_order_relaxed);
   return true;
 }
 
@@ -576,24 +559,11 @@ ServerStats ServerRuntime::stats() const {
     s.diff_pinned_replicas = r.pinned_replicas;
     s.diff_pinned_bytes = r.pinned_bytes;
   }
-  if (shared_cache_ != nullptr) {
-    const core::SharedTemplateCache::Stats c = shared_cache_->stats();
-    s.response_template_bytes = c.bytes_retained;
-    s.response_template_evictions = c.evictions;
-    s.cache_hits = c.hits;
-    s.cache_misses = c.misses;
-    s.cache_contended = c.contended;
-    s.cache_clones = c.clones;
-    s.cache_retired = c.retired;
-    s.cache_invalidations = c.invalidations;
-    s.cache_pins = c.pins;
-  } else {
-    for (const auto& worker : workers_) {
-      s.response_template_bytes +=
-          worker->template_bytes.load(std::memory_order_relaxed);
-      s.response_template_evictions +=
-          worker->template_evictions.load(std::memory_order_relaxed);
-    }
+  for (const auto& worker : workers_) {
+    s.response_template_bytes +=
+        worker->template_bytes.load(std::memory_order_relaxed);
+    s.response_template_evictions +=
+        worker->template_evictions.load(std::memory_order_relaxed);
   }
   return s;
 }

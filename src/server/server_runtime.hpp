@@ -18,8 +18,11 @@
 // core::SendPipeline whose TemplateStore keys response templates by the
 // response's structure signature (which covers method + namespace + shape),
 // so a repeated RPC's response leaves via the paper's MCM/PSM fast paths —
-// the Section 6 future work, applied on the way *out*. ServerStats exposes
-// the per-match-kind counts so tests and dashboards can see the hit rate.
+// the Section 6 future work, applied on the way *out*. The stores are
+// private to their workers (no locking on the send path), so each worker
+// serializes a given response shape from scratch at most once while the
+// shape stays in its store. ServerStats exposes the per-match-kind counts
+// so tests and dashboards can see the hit rate.
 //
 // Lifecycle: stop() drains gracefully — accepting ends, queued-but-unserved
 // connections get 503, idle keep-alive connections end at their next poll
@@ -51,7 +54,6 @@
 
 #include "common/error.hpp"
 #include "core/send_pipeline.hpp"
-#include "core/shared_template_cache.hpp"
 #include "diffwire/replica_store.hpp"
 #include "http/content_coding.hpp"
 #include "server/accept_queue.hpp"
@@ -98,20 +100,6 @@ struct ServerRuntimeOptions {
   core::TemplateConfig response_tmpl;
   std::size_t response_templates = 16;       ///< per-worker LRU capacity
   std::size_t response_template_bytes = 0;   ///< per-worker byte budget (0 = off)
-
-  /// One process-wide SharedTemplateCache instead of per-worker stores:
-  /// template memory scales with distinct RPC shapes, not workers × shapes,
-  /// and a shape any worker has served is warm for all of them. Workers
-  /// check templates out under a per-signature replica bound
-  /// (clone-on-contention keeps concurrent same-shape sends off the
-  /// first-time path). False (the default) keeps the per-worker stores.
-  bool shared_cache = false;
-  std::size_t shared_cache_shards = 8;
-  /// Replica bound per signature; 0 = auto (max(2, workers/2)).
-  std::size_t shared_cache_replicas = 0;
-  /// Global byte budget across the whole cache (0 = unlimited). Replaces
-  /// response_template_bytes, which is per worker.
-  std::size_t shared_cache_bytes = 0;
 
   /// Accept the diff-wire patch protocol: pin request bodies clients offer
   /// (X-BSoap-Diff: v1), apply patch frames onto the pinned replicas, and
@@ -221,9 +209,6 @@ class ServerRuntime {
   std::unique_ptr<DispatchQueue> dispatch_;  ///< kReactor engine
   std::unique_ptr<Reactor> reactor_;         ///< kReactor engine
   StatsCollector stats_;
-  /// Present only in shared_cache mode. Declared before workers_: the
-  /// worker pipelines point at it, so it must outlive them.
-  std::unique_ptr<core::SharedTemplateCache> shared_cache_;
   /// Diff-wire pinned request bodies (options.diffwire). Thread-safe;
   /// shared by every worker. Declared before workers_ so it outlives them.
   std::unique_ptr<diffwire::ReplicaStore> replicas_;

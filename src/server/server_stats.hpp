@@ -79,16 +79,6 @@ struct ServerStats {
   std::uint64_t coding_bytes_saved = 0;  ///< raw minus coded payload bytes
   std::uint64_t coding_cpu_ns = 0;       ///< CPU spent compressing payloads
 
-  // Shared template cache (shared_cache mode; all zero with per-worker
-  // stores). See core::SharedTemplateCache::Stats for field meanings.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_contended = 0;
-  std::uint64_t cache_clones = 0;
-  std::uint64_t cache_retired = 0;
-  std::uint64_t cache_invalidations = 0;
-  std::uint64_t cache_pins = 0;
-
   std::uint64_t responses_total() const {
     return response_first_time + response_content_match +
            response_perfect_match + response_partial_match;

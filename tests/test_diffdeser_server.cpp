@@ -558,7 +558,6 @@ TEST(DiffDeserServer, ReplicaBudgetChargesTheCachedParse) {
 TEST(DiffDeserServer, EightClientEightWorkerStress) {
   ServerRuntimeOptions options;
   options.workers = 8;
-  options.shared_cache = true;
   Result<std::unique_ptr<ServerRuntime>> server =
       ServerRuntime::start(sum_handler, options);
   ASSERT_TRUE(server.ok());

@@ -3,7 +3,8 @@
 // patch sends (parsed back through http::RequestParser at every byte
 // boundary), end-to-end client/server negotiation on both connection
 // engines, NACK -> full-send -> re-pin recovery, fault injection with zero
-// failed requests, and an 8-worker shared-cache stress (TSan-covered).
+// failed requests, a malformed-frame NACK on both engines, and an 8-worker
+// stress (TSan-covered).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "core/send_pipeline.hpp"
 #include "diffwire/replica_store.hpp"
 #include "diffwire/wire_format.hpp"
+#include "http/connection.hpp"
 #include "http/request_parser.hpp"
 #include "net/fault_injection.hpp"
 #include "net/tcp.hpp"
@@ -141,6 +143,40 @@ TEST(DiffWireFormat, PatchFrameRoundTrip) {
   bad_magic[0] = 'X';
   EXPECT_FALSE(decode_patch(bad_magic).ok());
   EXPECT_FALSE(decode_patch("").ok());
+}
+
+/// A bare 36-byte frame header ("BSDP", version 1, zeros elsewhere) claiming
+/// `run_count` runs; it carries no run headers.
+std::string header_only_frame(std::uint32_t run_count) {
+  PatchHeader header;
+  header.run_count = run_count;
+  std::string frame;
+  append_patch_header(frame, header);
+  return frame;
+}
+
+TEST(DiffWireFormat, RunCountBeyondFrameSizeIsRejected) {
+  // The run count is wire-supplied; one the frame cannot hold must be a
+  // protocol error, not an allocation sized by it.
+  for (const std::uint32_t run_count : {0xFFFFFFFFu, 0x10000000u, 1u}) {
+    Result<PatchFrame> decoded = decode_patch(header_only_frame(run_count));
+    ASSERT_FALSE(decoded.ok()) << run_count;
+    EXPECT_EQ(decoded.error().code, ErrorCode::kProtocolError);
+  }
+
+  // A frame holding exactly the claimed run headers still decodes; one
+  // run header short of the claim does not.
+  std::string exact = header_only_frame(2);
+  append_run_header(exact, 0, 0);
+  append_run_header(exact, 4, 0);
+  Result<PatchFrame> decoded = decode_patch(exact);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(decoded.value().runs.size(), 2u);
+
+  std::string short_frame = header_only_frame(3);
+  append_run_header(short_frame, 0, 0);
+  append_run_header(short_frame, 4, 0);
+  EXPECT_FALSE(decode_patch(short_frame).ok());
 }
 
 // --- replica store ---------------------------------------------------------
@@ -530,6 +566,53 @@ TEST(DiffWireEndToEnd, ReactorEngineSpeaksTheSameProtocol) {
   server.value()->stop();
 }
 
+class MalformedPatchFrame : public ::testing::TestWithParam<server::IoModel> {
+};
+
+TEST_P(MalformedPatchFrame, NacksAndServerKeepsServing) {
+  server::ServerRuntimeOptions options;
+  options.workers = 2;
+  options.io_model = GetParam();
+  Result<std::unique_ptr<server::ServerRuntime>> server =
+      server::ServerRuntime::start(sum_handler, options);
+  ASSERT_TRUE(server.ok());
+
+  {
+    // A 36-byte patch frame whose run count claims 2^32 - 1 runs.
+    Result<std::unique_ptr<net::Transport>> transport =
+        net::tcp_connect(server.value()->port());
+    ASSERT_TRUE(transport.ok());
+    http::HttpRequest request;
+    request.headers.push_back(http::Header{"Content-Type", kPatchContentType});
+    const std::string body = header_only_frame(0xFFFFFFFFu);
+    const net::ConstSlice slice{body.data(), body.size()};
+    http::HttpConnection conn(*transport.value());
+    ASSERT_TRUE(conn.send_request(std::move(request), {&slice, 1}).ok());
+    Result<http::HttpResponse> response = conn.read_response();
+    ASSERT_TRUE(response.ok()) << response.error().to_string();
+    EXPECT_EQ(response.value().status, kNackStatus);
+  }
+
+  // The next plain request, on a new connection, is answered.
+  Result<std::unique_ptr<net::Transport>> transport =
+      net::tcp_connect(server.value()->port());
+  ASSERT_TRUE(transport.ok());
+  BsoapClient client(*transport.value());
+  const std::vector<double> values{1.0, 2.0, 4.0};
+  Result<Value> result = client.invoke(soap::make_double_array_call(values));
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  EXPECT_EQ(result.value().as_double(), 7.0);
+
+  ASSERT_TRUE(
+      wait_for([&] { return server.value()->stats().requests == 1u; }));
+  EXPECT_EQ(server.value()->stats().patch_nacks, 1u);
+  server.value()->stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, MalformedPatchFrame,
+                         ::testing::Values(server::IoModel::kBlocking,
+                                           server::IoModel::kReactor));
+
 TEST(DiffWireEndToEnd, InjectedWriteFaultsNeverFailARequest) {
   server::ServerRuntimeOptions options;
   options.workers = 2;
@@ -564,10 +647,9 @@ TEST(DiffWireEndToEnd, InjectedWriteFaultsNeverFailARequest) {
   server.value()->stop();
 }
 
-TEST(DiffWireEndToEnd, EightWorkerSharedCacheStress) {
+TEST(DiffWireEndToEnd, EightWorkerStress) {
   server::ServerRuntimeOptions options;
   options.workers = 8;
-  options.shared_cache = true;
   Result<std::unique_ptr<server::ServerRuntime>> server =
       server::ServerRuntime::start(sum_handler, options);
   ASSERT_TRUE(server.ok());

@@ -364,6 +364,12 @@ TEST(TemplateRecovery, StructuralFailureInvalidatesAndRetriesFirstTime) {
   EXPECT_EQ(retried.value().recovery, Recovery::kInvalidated);
   EXPECT_EQ(retried.value().match, MatchKind::kFirstTime);
   EXPECT_EQ(client.store().invalidations(), 1u);
+  // The dropped template had grown in place before the failed write; the
+  // byte accounting must forget its grown size, leaving exactly the
+  // rebuilt template.
+  EXPECT_EQ(client.store().size(), 1u);
+  EXPECT_EQ(client.store().bytes_retained(),
+            retried.value().body_bytes_logical);
 
   CapturingServer server(*endpoint.server_ends[1]);
   Result<RpcCall> received = server.next_call();

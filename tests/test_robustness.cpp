@@ -1,15 +1,21 @@
 // Robustness fuzzing: parsers must reject malformed input with an error —
 // never crash, hang, or mis-parse — under random truncation, byte flips and
 // garbage. (The SOAP server faces the network; every parser here is
-// attacker-facing in a real deployment.)
+// attacker-facing in a real deployment.) Every case runs a fixed, seeded
+// iteration budget, so the sanitizer builds replay exactly these inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "buffer/sinks.hpp"
 #include "common/rng.hpp"
 #include "compress/deflate.hpp"
+#include "diffwire/wire_format.hpp"
 #include "http/http_message.hpp"
+#include "http/request_parser.hpp"
 #include "soap/base64.hpp"
 #include "soap/dime.hpp"
 #include "soap/envelope_reader.hpp"
@@ -162,6 +168,180 @@ TEST(RobustnessFuzz, WsdlParserSurvivesMutation) {
     (void)wsdl::parse_wsdl(doc);
   }
   EXPECT_TRUE(wsdl::parse_wsdl(valid).ok());
+}
+
+/// A valid diff-wire patch frame: `runs` runs of 1..16 bytes each.
+std::string valid_patch_frame(Rng& rng, std::uint32_t runs) {
+  diffwire::PatchHeader header;
+  header.template_id = rng.next_u64();
+  header.epoch = static_cast<std::uint32_t>(rng.next_below(100));
+  header.run_count = runs;
+  header.body_len = 4096;
+  header.checksum = rng.next_u64();
+  std::string frame;
+  diffwire::append_patch_header(frame, header);
+  std::uint32_t offset = 0;
+  for (std::uint32_t r = 0; r < runs; ++r) {
+    const auto length = static_cast<std::uint32_t>(1 + rng.next_below(16));
+    offset += static_cast<std::uint32_t>(rng.next_below(64));
+    diffwire::append_run_header(frame, offset, length);
+    for (std::uint32_t i = 0; i < length; ++i) {
+      frame += static_cast<char>('a' + rng.next_below(26));
+    }
+    offset += length;
+  }
+  return frame;
+}
+
+void overwrite_u32(std::string& frame, std::size_t at, std::uint32_t v) {
+  if (at + 4 > frame.size()) return;
+  for (int i = 0; i < 4; ++i) {
+    frame[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// decode_patch must return a frame or an error. A decoded frame must
+/// account for every byte of the body: run headers plus run payloads, each
+/// payload inside the body.
+void check_decode_patch(const std::string& frame) {
+  Result<diffwire::PatchFrame> decoded = diffwire::decode_patch(frame);
+  if (!decoded.ok()) return;
+  const diffwire::PatchFrame& f = decoded.value();
+  ASSERT_EQ(f.runs.size(), f.header.run_count);
+  std::size_t covered = diffwire::kFrameHeaderSize;
+  for (const diffwire::PatchRun& run : f.runs) {
+    covered += diffwire::kRunHeaderSize + run.length;
+    ASSERT_GE(run.data, frame.data());
+    ASSERT_LE(run.data + run.length, frame.data() + frame.size());
+  }
+  EXPECT_EQ(covered, frame.size());
+}
+
+TEST(RobustnessFuzz, PatchDecoderSurvivesMutatedFrames) {
+  Rng rng(1008);
+  for (int round = 0; round < 400; ++round) {
+    std::string frame =
+        valid_patch_frame(rng, static_cast<std::uint32_t>(rng.next_below(6)));
+    check_decode_patch(frame);  // the unmutated frame
+    const std::size_t flips = 1 + rng.next_below(6);
+    for (std::size_t f = 0; f < flips; ++f) {
+      frame[rng.next_below(frame.size())] =
+          static_cast<char>(rng.next_below(256));
+    }
+    if (rng.next_below(4) == 0) frame.resize(rng.next_below(frame.size() + 1));
+    check_decode_patch(frame);
+  }
+}
+
+TEST(RobustnessFuzz, PatchDecoderSurvivesRandomHeaderFields) {
+  Rng rng(1009);
+  // Field values biased toward the edges: zero, small, near a boundary of
+  // the frame, and anything up to 2^32 - 1.
+  const auto pick = [&rng](std::size_t frame_size) -> std::uint32_t {
+    switch (rng.next_below(4)) {
+      case 0:
+        return 0xFFFFFFFFu - static_cast<std::uint32_t>(rng.next_below(4));
+      case 1:
+        return static_cast<std::uint32_t>(rng.next_below(8));
+      case 2:
+        return static_cast<std::uint32_t>(frame_size + rng.next_below(9)) - 4;
+      default:
+        return static_cast<std::uint32_t>(rng.next_u64());
+    }
+  };
+  constexpr std::size_t kRunCountAt = 20;  // u32 run_count in the header
+  for (int round = 0; round < 400; ++round) {
+    const auto runs = static_cast<std::uint32_t>(rng.next_below(4));
+    std::string frame = valid_patch_frame(rng, runs);
+    switch (rng.next_below(3)) {
+      case 0:
+        overwrite_u32(frame, kRunCountAt, pick(frame.size()));
+        break;
+      default: {
+        // A run header's offset or length. Run headers sit at irregular
+        // positions, so aim anywhere past the frame header.
+        if (frame.size() <= diffwire::kFrameHeaderSize) break;
+        const std::size_t at =
+            diffwire::kFrameHeaderSize +
+            rng.next_below(frame.size() - diffwire::kFrameHeaderSize);
+        overwrite_u32(frame, at, pick(frame.size()));
+        break;
+      }
+    }
+    check_decode_patch(frame);
+  }
+}
+
+/// Three pipelined requests covering the body framings the server reads:
+/// Content-Length, chunked, and a gzip-coded body.
+std::vector<std::string> valid_request_stream(
+    std::vector<std::string>* bodies) {
+  const std::string envelope = valid_envelope();
+  bodies->assign({envelope, envelope.substr(0, 300), envelope});
+  std::vector<std::string> wire;
+  wire.push_back("POST /svc HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                 std::to_string(envelope.size()) + "\r\n\r\n" + envelope);
+  std::string chunked =
+      "POST /svc HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n";
+  for (std::size_t at = 0; at < 300; at += 100) {
+    chunked += "64\r\n" + envelope.substr(at, 100) + "\r\n";
+  }
+  chunked += "0\r\n\r\n";
+  wire.push_back(chunked);
+  const std::string gz = compress::gzip_compress(envelope);
+  wire.push_back(
+      "POST /svc HTTP/1.1\r\nHost: x\r\nContent-Encoding: gzip\r\n"
+      "Content-Length: " +
+      std::to_string(gz.size()) + "\r\n\r\n" + gz);
+  return wire;
+}
+
+/// Feeds `stream` to a fresh parser in random-sized pieces, taking every
+/// completed request. Stops at the first error (the stream is then out of
+/// sync, and the server would answer 400 and close). Returns the bodies of
+/// the requests taken.
+std::vector<std::string> feed_in_pieces(Rng& rng, const std::string& stream) {
+  http::RequestParser parser;
+  parser.set_max_inflate_bytes(1 << 20);
+  std::vector<std::string> taken;
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    const std::size_t n =
+        std::min<std::size_t>(1 + rng.next_below(64), stream.size() - pos);
+    Status status = parser.feed(stream.data() + pos, n);
+    pos += n;
+    while (status.ok() && parser.done()) {
+      taken.push_back(parser.take().body);
+      status = parser.resume();
+    }
+    if (!status.ok()) break;
+  }
+  return taken;
+}
+
+TEST(RobustnessFuzz, RequestParserSurvivesSplitsAndMutation) {
+  Rng rng(1010);
+  std::vector<std::string> bodies;
+  const std::vector<std::string> requests = valid_request_stream(&bodies);
+  std::string stream;
+  for (const std::string& r : requests) stream += r;
+
+  for (int round = 0; round < 300; ++round) {
+    // Unmutated, any split yields exactly the three bodies.
+    EXPECT_EQ(feed_in_pieces(rng, stream), bodies) << "round " << round;
+
+    std::string mutated = stream;
+    const std::size_t flips = 1 + rng.next_below(8);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.next_below(mutated.size())] =
+          static_cast<char>(rng.next_below(256));
+    }
+    if (rng.next_below(4) == 0) {
+      mutated.resize(rng.next_below(mutated.size() + 1));
+    }
+    (void)feed_in_pieces(rng, mutated);
+  }
 }
 
 }  // namespace

@@ -106,17 +106,19 @@ TEST(ServerRuntime, ResponsesTakeDifferentialFastPaths) {
   server.value()->stop();
 }
 
-TEST(ServerRuntime, SharedCacheServesOneShapeAcrossWorkersFirstTimeOnce) {
+class PerWorkerStores : public ::testing::TestWithParam<IoModel> {};
+
+TEST_P(PerWorkerStores, EachWorkerSerializesAShapeAtMostOnce) {
   ServerRuntimeOptions options;
   options.workers = 4;
-  options.shared_cache = true;
+  options.io_model = GetParam();
   Result<std::unique_ptr<ServerRuntime>> server =
       ServerRuntime::start(sum_handler, options);
   ASSERT_TRUE(server.ok());
 
-  // Sequential connections land on different workers (slots rotate through
-  // the pool); with per-worker stores each would pay its own first-time
-  // response. One shared cache means the shape is serialized exactly once.
+  // Sequential connections may land on different workers. Each worker owns
+  // its template store, so it pays one first-time response for the shape
+  // and every later response it sends for that shape is a differential hit.
   const RpcCall call = make_sum_call({1.0, 2.0, 4.0});
   for (int conn = 0; conn < 8; ++conn) {
     Result<std::unique_ptr<net::Transport>> transport =
@@ -130,13 +132,17 @@ TEST(ServerRuntime, SharedCacheServesOneShapeAcrossWorkersFirstTimeOnce) {
   ASSERT_TRUE(wait_for(
       [&] { return server.value()->stats().responses_total() == 8; }));
   ServerStats stats = server.value()->stats();
-  EXPECT_EQ(stats.response_first_time, 1u);
-  EXPECT_EQ(stats.response_diff_hits(), 7u);
-  EXPECT_EQ(stats.cache_hits, 7u);
-  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_GE(stats.response_first_time, 1u);
+  EXPECT_LE(stats.response_first_time, options.workers);
+  EXPECT_EQ(stats.response_diff_hits(), 8u - stats.response_first_time);
+  EXPECT_EQ(stats.response_template_evictions, 0u);
   EXPECT_GT(stats.response_template_bytes, 0u);
   server.value()->stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, PerWorkerStores,
+                         ::testing::Values(IoModel::kBlocking,
+                                           IoModel::kReactor));
 
 TEST(ServerRuntime, DiffResponsesOffServesFromScratch) {
   ServerRuntimeOptions options;
