@@ -29,6 +29,7 @@ void ChunkedBuffer::append(const char* data, std::size_t n) {
     const std::size_t take = std::min(room, n);
     std::memcpy(c.data.get() + c.size, data, take);
     c.size += take;
+    c.hashed = false;
     total_size_ += take;
     data += take;
     n -= take;
@@ -48,6 +49,7 @@ char* ChunkedBuffer::reserve_contiguous(std::size_t n) {
 void ChunkedBuffer::commit(std::size_t written) {
   BSOAP_ASSERT(written <= reserved_);
   last().size += written;
+  last().hashed = false;
   total_size_ += written;
   reserved_ = 0;
 }
@@ -68,15 +70,11 @@ std::size_t ChunkedBuffer::chunk_capacity(std::size_t i) const {
   return chunks_[i].capacity;
 }
 
-char* ChunkedBuffer::at(BufPos pos) {
+const char* ChunkedBuffer::at(BufPos pos) const {
   BSOAP_ASSERT(pos.chunk < chunks_.size());
-  Chunk& c = chunks_[pos.chunk];
+  const Chunk& c = chunks_[pos.chunk];
   BSOAP_ASSERT(pos.offset <= c.size);
   return c.data.get() + pos.offset;
-}
-
-const char* ChunkedBuffer::at(BufPos pos) const {
-  return const_cast<ChunkedBuffer*>(this)->at(pos);
 }
 
 std::string ChunkedBuffer::linearize() const {
@@ -102,10 +100,8 @@ void ChunkedBuffer::read_at(BufPos pos, char* out, std::size_t n) const {
 }
 
 void ChunkedBuffer::write_at(BufPos pos, const char* data, std::size_t n) {
-  BSOAP_ASSERT(pos.chunk < chunks_.size());
-  Chunk& c = chunks_[pos.chunk];
-  BSOAP_ASSERT(pos.offset + n <= c.size);
-  std::memcpy(c.data.get() + pos.offset, data, n);
+  const Edit edit(*this, pos, n);
+  std::memcpy(edit.data(), data, n);
 }
 
 ExpandResult ChunkedBuffer::expand_at(BufPos pos, std::size_t old_len,
@@ -120,6 +116,7 @@ ExpandResult ChunkedBuffer::expand_at(BufPos pos, std::size_t old_len,
   const std::size_t region_end = pos.offset + old_len;
   BSOAP_ASSERT(region_end <= c->size);
   const std::size_t tail_len = c->size - region_end;
+  c->hashed = false;  // bytes move (a reallocated chunk starts stale anyway)
 
   if (c->size + delta <= c->capacity) {
     // Fast path: enough slack at the end of the chunk; shift the tail.
@@ -175,6 +172,7 @@ void ChunkedBuffer::contract_at(BufPos pos, std::size_t old_len,
   BSOAP_ASSERT(region_end <= c.size);
   const std::size_t delta = old_len - new_len;
   if (delta == 0) return;
+  c.hashed = false;
   char* base = c.data.get();
   std::memmove(base + region_end - delta, base + region_end,
                c.size - region_end);
@@ -197,11 +195,30 @@ void ChunkedBuffer::clear() {
   reserved_ = 0;
 }
 
+std::uint64_t ChunkedBuffer::root() {
+  std::uint64_t root = 0;
+  std::size_t base = 0;
+  for (Chunk& c : chunks_) {
+    if (!c.hashed) {
+      c.hash = poly::hash(c.data.get(), c.size);
+      c.hashed = true;
+      ++rehashes_;
+    }
+    if (c.size > 0) root = poly::add(root, poly::mul(poly::pow(base), c.hash));
+    base += c.size;
+  }
+#ifdef BSOAP_DEBUG_INVARIANTS
+  BSOAP_ASSERT(root == poly::hash(linearize()));
+#endif
+  return root;
+}
+
 bool ChunkedBuffer::check_invariants() const {
   std::size_t sum = 0;
   for (const Chunk& c : chunks_) {
     if (c.size > c.capacity) return false;
     if (c.capacity == 0 || c.data == nullptr) return false;
+    if (c.hashed && c.hash != poly::hash(c.data.get(), c.size)) return false;
     sum += c.size;
   }
   return sum == total_size_ && reserved_ == 0;

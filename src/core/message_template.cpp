@@ -149,7 +149,9 @@ void MessageTemplate::rewrite_value(std::size_t idx, const char* text,
   BSOAP_ASSERT(e.close_tag_len <= kMaxCloseTag);
   buffer_.read_at(buffer::BufPos{e.pos.chunk, e.pos.offset + e.serialized_len},
                   tag, e.close_tag_len);
-  char* base = buffer_.at(e.pos);
+  const buffer::ChunkedBuffer::Edit edit(buffer_, e.pos,
+                                         e.field_width + e.close_tag_len);
+  char* base = edit.data();
   std::memcpy(base, text, len);
   std::memcpy(base + len, tag, e.close_tag_len);
   std::memset(base + len + e.close_tag_len, ' ', e.field_width - len);
@@ -175,9 +177,10 @@ bool MessageTemplate::try_steal(std::size_t idx, std::uint32_t new_width) {
         entry.pos.offset + entry.field_width + entry.close_tag_len;
     const std::uint32_t move_end =
         donor.pos.offset + donor.serialized_len + donor.close_tag_len;
-    char* base = buffer_.at(buffer::BufPos{chunk, 0});
-    std::memmove(base + move_begin + delta, base + move_begin,
-                 move_end - move_begin);
+    const buffer::ChunkedBuffer::Edit edit(
+        buffer_, buffer::BufPos{chunk, move_begin},
+        move_end + delta - move_begin);
+    std::memmove(edit.data() + delta, edit.data(), move_end - move_begin);
     for (std::size_t k = idx + 1; k <= j; ++k) {
       dut_[k].pos.offset += delta;
     }
@@ -224,22 +227,19 @@ void MessageTemplate::RunWriter::rewrite(std::size_t idx, const char* text,
   DutEntry& e = tmpl_.dut()[idx];
   if (len > e.field_width) {
     // Expansion: the full steal/shift/split machinery, which may renumber
-    // positions, realloc a chunk, or split chunks — drop the cached base.
-    // Parallel callers prove fit up front, so this only runs with the
-    // template's own stats block (single-threaded).
+    // positions, realloc a chunk, or split chunks. Parallel callers prove
+    // fit up front, so this only runs with the template's own stats block
+    // (single-threaded).
     BSOAP_ASSERT(&stats_ == &tmpl_.stats());
     tmpl_.rewrite_value(idx, text, len);
-    chunk_ = kNoChunk;
     return;
   }
   if (UpdateJournal* journal = tmpl_.journal()) {
     journal->record_field(tmpl_, idx);
   }
-  if (e.pos.chunk != chunk_) {
-    chunk_ = e.pos.chunk;
-    base_ = tmpl_.buffer().at(buffer::BufPos{chunk_, 0});
-  }
-  char* p = base_ + e.pos.offset;
+  const buffer::ChunkedBuffer::Edit edit(tmpl_.buffer(), e.pos,
+                                         e.field_width + e.close_tag_len);
+  char* p = edit.data();
   ++stats_.value_rewrites;
   if (len == e.serialized_len) {
     std::memcpy(p, text, len);
@@ -264,17 +264,14 @@ void MessageTemplate::RunWriter::rewrite_padded(std::size_t idx,
   if (len > e.field_width) {
     BSOAP_ASSERT(&stats_ == &tmpl_.stats());
     tmpl_.rewrite_value(idx, text, len);
-    chunk_ = kNoChunk;
     return;
   }
   if (UpdateJournal* journal = tmpl_.journal()) {
     journal->record_field(tmpl_, idx);
   }
-  if (e.pos.chunk != chunk_) {
-    chunk_ = e.pos.chunk;
-    base_ = tmpl_.buffer().at(buffer::BufPos{chunk_, 0});
-  }
-  char* p = base_ + e.pos.offset;
+  const buffer::ChunkedBuffer::Edit edit(tmpl_.buffer(), e.pos,
+                                         e.field_width + e.close_tag_len);
+  char* p = edit.data();
   ++stats_.value_rewrites;
   if (len == e.serialized_len) {
     textconv::swar::copy_digits(p, text, len);
@@ -308,11 +305,9 @@ void MessageTemplate::RunWriter::rewrite_convert(std::size_t idx,
     if (UpdateJournal* journal = tmpl_.journal()) {
       journal->record_field(tmpl_, idx);
     }
-    if (e.pos.chunk != chunk_) {
-      chunk_ = e.pos.chunk;
-      base_ = tmpl_.buffer().at(buffer::BufPos{chunk_, 0});
-    }
-    char* p = base_ + e.pos.offset;
+    const buffer::ChunkedBuffer::Edit edit(tmpl_.buffer(), e.pos,
+                                           e.field_width + e.close_tag_len);
+    char* p = edit.data();
     ++stats_.value_rewrites;
     char tag[kMaxCloseTag + 8];
     BSOAP_ASSERT(e.close_tag_len <= kMaxCloseTag);

@@ -202,13 +202,12 @@ class MessageTemplate {
   /// are the caller's concern).
   void rewrite_value(std::size_t idx, const char* text, std::uint32_t len);
 
-  /// Cursor for rewriting a run of entries in ascending index order. The
-  /// chunk base pointer is resolved once per chunk and reused with pointer
-  /// arithmetic while values fit their fields; a value that outgrows its
-  /// width falls back to rewrite_value (the expansion machinery) and
-  /// invalidates the cursor, so positions renumbered by a shift/split are
-  /// re-resolved. Byte effects and counters are identical to calling
-  /// rewrite_value per entry.
+  /// Cursor for rewriting a run of entries in ascending index order. Each
+  /// field that fits its width is written in place through a scoped
+  /// buffer Edit over its region (which keeps the chunk's integrity hash
+  /// current); a value that outgrows its width falls back to rewrite_value
+  /// (the expansion machinery). Byte effects and counters are identical to
+  /// calling rewrite_value per entry.
   ///
   /// `stats` receives the counters: pass tmpl.stats() on the serial path, a
   /// worker-local block on the parallel path (where the caller must have
@@ -241,12 +240,8 @@ class MessageTemplate {
     template <typename Convert>
     void rewrite_convert(std::size_t idx, std::uint32_t max_chars,
                          Convert conv);
-    static constexpr std::uint32_t kNoChunk = 0xffffffffu;
-
     MessageTemplate& tmpl_;
     TemplateStats& stats_;
-    std::uint32_t chunk_ = kNoChunk;
-    char* base_ = nullptr;
   };
 
   /// Internal consistency: buffer and DUT agree (every entry's region is in

@@ -294,18 +294,16 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
     }
   }
 
-  std::uint64_t checksum = diffwire::kFnvOffset;
-  for (std::size_t i = 0; i < buf.chunk_count(); ++i) {
-    checksum = diffwire::fnv1a(buf.chunk_view(i), checksum);
-  }
-
   diffwire::PatchHeader header;
   header.flags = patch_runs_.empty() ? diffwire::kFlagReplay : std::uint8_t{0};
   header.template_id = wire_id;
   header.epoch = epoch;
   header.run_count = static_cast<std::uint32_t>(patch_runs_.size());
   header.body_len = static_cast<std::uint32_t>(buf.total_size());
-  header.checksum = checksum;
+  // The root is the buffer's, maintained by its writes — never derived from
+  // the journal, so a write the journal missed NACKs instead of serving a
+  // stale replica.
+  header.checksum = tmpl.buffer().root();
 
   patch_buf_.clear();
   diffwire::append_patch_header(patch_buf_, header);

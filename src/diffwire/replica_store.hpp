@@ -4,8 +4,10 @@
 // template ID, kept verbatim so a patch frame reconstructs the sender's
 // current envelope by overwriting dirty runs in place. The store is shared
 // by every worker (blocking pool or reactor dispatch), so one mutex guards
-// the map — a patch apply is short (a few memcpys plus one checksum pass)
-// and requests for one template arrive serialized per connection anyway.
+// the map — a patch apply is short, O(run bytes): each run's memcpy plus
+// the integrity-root delta of the bytes it overwrites (wire_format.hpp);
+// only the first patch after a pin hashes the whole body. Requests for one
+// template arrive serialized per connection anyway.
 //
 // Every validation failure is a NACK, and a NACK erases the replica: the
 // sender's next send is a full body with a fresh offer, which re-pins at
@@ -84,7 +86,9 @@ class ReplicaStore {
   };
 
   /// Applies a decoded patch frame onto the pinned replica: validates ID,
-  /// epoch, body length, run bounds and the whole-body checksum, then
+  /// epoch, body length, run bounds and the body's integrity root (moved
+  /// by each run's delta, hashed from scratch on the first patch after a
+  /// pin), then
   /// copies the reconstructed body into `reconstructed` and advances the
   /// replica's epoch. On any validation failure the replica is erased and
   /// an error describing the NACK reason is returned (kNotFound for an
@@ -127,6 +131,9 @@ class ReplicaStore {
     std::uint64_t applies = 0;  ///< patch frames applied (incl. replays)
     std::uint64_t replays = 0;  ///< header-only frames (run_count 0)
     std::uint64_t nacks = 0;    ///< rejected frames (replica erased)
+    /// Whole-body root computations: at most one per pin generation (the
+    /// first patch after a pin); steady patches move the root by deltas.
+    std::uint64_t full_hashes = 0;
     std::uint64_t evictions = 0;
     std::uint64_t pinned_replicas = 0;  ///< gauge
     std::uint64_t pinned_bytes = 0;     ///< gauge (incl. attachments)
@@ -147,6 +154,10 @@ class ReplicaStore {
     std::uint64_t generation = 0;
     std::shared_ptr<ReplicaAttachment> attachment;
     std::size_t attachment_bytes = 0;  ///< attachment->bytes() at attach
+    /// Integrity root of `body`, valid once `hashed` (lazily, from the
+    /// first patch after a pin: a replica that only re-offers never hashes).
+    std::uint64_t root = 0;
+    bool hashed = false;
 
     std::size_t bytes() const {
       return body.size() + dict.size() + attachment_bytes;

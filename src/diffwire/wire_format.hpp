@@ -24,14 +24,29 @@
 // replica is re-pinned at epoch 0 whenever the patch chain breaks. Patch
 // frames carry an epoch the receiver checks strictly (+1 per applied
 // frame); a lost or replayed frame therefore NACKs instead of silently
-// corrupting the replica, and the whole-body FNV-1a checksum backstops the
-// epoch chain.
+// corrupting the replica, and the whole-body checksum backstops the epoch
+// chain.
+//
+// Checksum (version 2): the integrity root of the reconstructed body,
+//
+//   root = Σ bᵢ · rⁱ  mod 2^61 − 1     (i = absolute body offset,
+//                                       r = poly::kRadix)
+//
+// computed by poly::hash (common/poly_hash.hpp). The root is linear and
+// position-weighted, so both sides maintain it in O(dirty bytes): the
+// sender's ChunkedBuffer moves a chunk's hash on every in-place write and
+// folds the chunk hashes by base offset; the receiver moves its replica's
+// root by r^offset · (H(new run) − H(old bytes)) per run. Because the root
+// is defined on absolute offsets, neither side needs the other's chunk
+// layout and nothing beyond the 36-byte header travels. A frame of another
+// version fails decoding (NACK → full send), so peers that disagree on the
+// checksum's meaning degrade to full sends, never corrupt a replica.
 //
 // Binary frame layout (all integers little-endian):
 //
 //   offset  size  field
 //        0     4  magic "BSDP"
-//        4     1  version (1)
+//        4     1  version (2)
 //        5     1  flags (bit0 = replay: run_count is 0, body unchanged)
 //        6     2  reserved (0)
 //        8     8  template_id
@@ -40,7 +55,7 @@
 //       24     4  body_len      (reconstructed body size; patches never
 //                                change the length — structural updates
 //                                fall back to full sends)
-//       28     8  checksum      (FNV-1a 64 over the reconstructed body)
+//       28     8  checksum      (integrity root of the reconstructed body)
 //       36   ...  run_count × { offset u32, length u32, bytes[length] }
 //
 // This layer is deliberately core-free: it knows HTTP headers and bytes,
@@ -90,30 +105,10 @@ std::string format_template_id(std::uint64_t id);
 /// Parses a 16-digit hex template ID; false on malformed input.
 bool parse_template_id(std::string_view text, std::uint64_t* id);
 
-// --- checksum --------------------------------------------------------------
-
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
-
-/// FNV-1a 64. `state` chains calls, so a chunked body hashes without being
-/// linearized: h = fnv1a(c0); h = fnv1a(c1, h); ...
-inline std::uint64_t fnv1a(const char* data, std::size_t n,
-                           std::uint64_t state = kFnvOffset) {
-  for (std::size_t i = 0; i < n; ++i) {
-    state ^= static_cast<unsigned char>(data[i]);
-    state *= kFnvPrime;
-  }
-  return state;
-}
-inline std::uint64_t fnv1a(std::string_view text,
-                           std::uint64_t state = kFnvOffset) {
-  return fnv1a(text.data(), text.size(), state);
-}
-
 // --- patch frames ----------------------------------------------------------
 
 inline constexpr char kMagic[4] = {'B', 'S', 'D', 'P'};
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::uint8_t kFlagReplay = 0x01;
 inline constexpr std::size_t kFrameHeaderSize = 36;
 inline constexpr std::size_t kRunHeaderSize = 8;

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/poly_hash.hpp"
 #include "core/bulk_scan.hpp"
 #include "core/diff_serializer.hpp"
 #include "core/template_builder.hpp"
@@ -298,6 +299,41 @@ TEST(BulkEquivalence, ParallelDirtyModeMatchesSerial) {
   expect_same_result(p, s, 0);
   EXPECT_FALSE(par_tmpl->dut().any_dirty());
   EXPECT_EQ(par_tmpl->buffer().linearize(), pl_tmpl->buffer().linearize());
+}
+
+TEST(BulkEquivalence, ParallelUpdateKeepsMaterializedRootExact) {
+  // Each worker writes only its own chunks, and each chunk carries its own
+  // integrity hash: once the root is materialized, a parallel update (no
+  // journal armed, so the parallel path is eligible) must leave it equal to
+  // a from-scratch hash without rehashing any chunk.
+  const std::size_t n = 4000;
+  TemplateConfig cfg = bulk_config();
+  cfg.stuffing.mode = StuffingPolicy::Mode::kTypeMax;
+  cfg.chunk.chunk_size = 4 * 1024;
+  cfg.chunk.split_threshold = 8 * 1024;
+  cfg.bulk.parallel = true;
+  cfg.bulk.parallel_min_leaves = 64;
+  ASSERT_GE(n, cfg.bulk.parallel_min_leaves);
+
+  auto values = soap::random_doubles(n, 15);
+  auto tmpl = build_template(soap::make_double_array_call(values), cfg);
+  ASSERT_GT(tmpl->buffer().chunk_count(), 1u);
+  tmpl->buffer().root();
+  const std::uint64_t rehashes = tmpl->buffer().chunk_rehashes();
+
+  const auto pool = soap::random_doubles(n, 16);
+  for (int step = 1; step <= 3; ++step) {
+    for (std::size_t i = static_cast<std::size_t>(step); i < n; i += 4) {
+      values[i] = pool[(i * static_cast<std::size_t>(step)) % n];
+    }
+    const UpdateResult r =
+        update_template(*tmpl, soap::make_double_array_call(values));
+    ASSERT_GT(r.values_rewritten, 0u);
+    ASSERT_EQ(tmpl->buffer().root(), poly::hash(tmpl->buffer().linearize()))
+        << "step " << step;
+  }
+  EXPECT_EQ(tmpl->buffer().chunk_rehashes(), rehashes);
+  EXPECT_TRUE(tmpl->check_invariants());
 }
 
 TEST(BulkEquivalence, SmallArraysSkipSegments) {

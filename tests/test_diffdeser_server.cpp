@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "buffer/sinks.hpp"
+#include "common/poly_hash.hpp"
 #include "common/rng.hpp"
 #include "core/client.hpp"
 #include "core/parsed_replica.hpp"
@@ -198,7 +199,7 @@ std::string make_patch_frame(std::uint64_t id, std::uint32_t epoch,
   header.epoch = epoch;
   header.run_count = static_cast<std::uint32_t>(runs.size());
   header.body_len = static_cast<std::uint32_t>(fresh.size());
-  header.checksum = diffwire::fnv1a(fresh);
+  header.checksum = poly::hash(fresh);
   std::string frame;
   diffwire::append_patch_header(frame, header);
   for (const ByteRun& run : runs) {

@@ -9,12 +9,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/poly_hash.hpp"
 #include "common/rng.hpp"
 #include "core/client.hpp"
 #include "core/send_pipeline.hpp"
@@ -114,7 +117,7 @@ TEST(DiffWireFormat, PatchFrameRoundTrip) {
   header.epoch = 7;
   header.run_count = 2;
   header.body_len = 100;
-  header.checksum = fnv1a("the reconstructed body");
+  header.checksum = poly::hash("the reconstructed body");
 
   std::string frame;
   append_patch_header(frame, header);
@@ -145,8 +148,8 @@ TEST(DiffWireFormat, PatchFrameRoundTrip) {
   EXPECT_FALSE(decode_patch("").ok());
 }
 
-/// A bare 36-byte frame header ("BSDP", version 1, zeros elsewhere) claiming
-/// `run_count` runs; it carries no run headers.
+/// A bare 36-byte frame header ("BSDP", current version, zeros elsewhere)
+/// claiming `run_count` runs; it carries no run headers.
 std::string header_only_frame(std::uint32_t run_count) {
   PatchHeader header;
   header.run_count = run_count;
@@ -190,7 +193,7 @@ std::string make_patch(std::uint64_t id, std::uint32_t epoch,
   header.epoch = epoch;
   header.run_count = 1;
   header.body_len = static_cast<std::uint32_t>(updated.size());
-  header.checksum = fnv1a(updated);
+  header.checksum = poly::hash(updated);
   std::string frame;
   append_patch_header(frame, header);
   append_run_header(frame, run_offset, run_length);
@@ -273,7 +276,7 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
     header.epoch = 1;
     header.run_count = 1;
     header.body_len = 5;
-    header.checksum = fnv1a("hello");
+    header.checksum = poly::hash("hello");
     std::string frame;
     append_patch_header(frame, header);
     append_run_header(frame, 4, 2);  // [4, 6) exceeds the 5-byte replica
@@ -610,6 +613,97 @@ TEST_P(MalformedPatchFrame, NacksAndServerKeepsServing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, MalformedPatchFrame,
+                         ::testing::Values(server::IoModel::kBlocking,
+                                           server::IoModel::kReactor));
+
+class UnjournaledWrite : public ::testing::TestWithParam<server::IoModel> {};
+
+TEST_P(UnjournaledWrite, NacksThenSelfHealsWithinTheInvoke) {
+  // The checksum is the template buffer's own integrity root, not something
+  // derived from the update journal. A byte written behind the journal's
+  // back is then missing from the patch runs but present in the root: the
+  // receiver's reconstruction disagrees, the patch NACKs, and the client's
+  // full re-offer carries the written byte — a stale value is never served.
+  std::mutex mu;
+  std::vector<double> seen;
+  const soap::RpcHandler recording = [&](const RpcCall& call) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      seen = call.params[0].value.doubles();
+    }
+    return sum_handler(call);
+  };
+  server::ServerRuntimeOptions options;
+  options.workers = 2;
+  options.io_model = GetParam();
+  Result<std::unique_ptr<server::ServerRuntime>> server =
+      server::ServerRuntime::start(recording, options);
+  ASSERT_TRUE(server.ok());
+
+  BsoapClient client(tcp_dialer(server.value()->port()),
+                     diff_client_config());
+  std::vector<double> values = soap::doubles_with_serialized_length(64, 17, 41);
+  bsoap::Rng rng(42);
+  for (int i = 0; i < 4; ++i) {  // pin, then three patches
+    values[static_cast<std::size_t>(i)] =
+        soap::double_with_serialized_length(rng, 17);
+    ASSERT_TRUE(client.invoke(soap::make_double_array_call(values)).ok());
+  }
+  ASSERT_EQ(client.diffwire_stats()->patch_sends, 3u);
+
+  // Bump one digit of element 40's value text in the template, without a
+  // journal record (the shadow copy still holds the old value, so the next
+  // update leaves the byte alone).
+  const RpcCall shape = soap::make_double_array_call(values);
+  core::MessageTemplate* tmpl =
+      client.store().find(shape.structure_signature());
+  ASSERT_NE(tmpl, nullptr);
+  const core::DutEntry& entry = tmpl->dut()[40];
+  std::string text(entry.serialized_len, '\0');
+  tmpl->buffer().read_at(entry.pos, text.data(), text.size());
+  const std::size_t digit = text.find_first_of("0123456789");
+  ASSERT_NE(digit, std::string::npos);
+  text[digit] = text[digit] == '9' ? '1' : static_cast<char>(text[digit] + 1);
+  tmpl->buffer().write_at(
+      buffer::BufPos{entry.pos.chunk,
+                     static_cast<std::uint32_t>(entry.pos.offset + digit)},
+      &text[digit], 1);
+  const double written = std::strtod(text.c_str(), nullptr);
+  ASSERT_NE(written, values[40]);
+
+  // The next invoke: 409 NACK, full re-offer inside the same invoke, and
+  // the handler sees the written byte.
+  values[5] = soap::double_with_serialized_length(rng, 17);
+  ASSERT_TRUE(client.invoke(soap::make_double_array_call(values)).ok());
+  const ClientDiffStats* cs = client.diffwire_stats();
+  EXPECT_EQ(cs->patch_nacks, 1u);
+  EXPECT_EQ(cs->fallback_full_sends, 1u);
+  EXPECT_EQ(cs->offers_sent, 2u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(seen.size(), values.size());
+    EXPECT_EQ(seen[40], written);
+    EXPECT_EQ(seen[5], values[5]);
+  }
+
+  // The following patch applies against the re-pinned replica.
+  values[6] = soap::double_with_serialized_length(rng, 17);
+  ASSERT_TRUE(client.invoke(soap::make_double_array_call(values)).ok());
+  EXPECT_EQ(cs->patch_nacks, 1u);
+  EXPECT_EQ(cs->patch_sends, 5u);  // 3 + the NACKed frame + this one
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(seen[40], written);
+    EXPECT_EQ(seen[6], values[6]);
+  }
+  ASSERT_TRUE(wait_for(
+      [&] { return server.value()->stats().patch_sends >= 4u; }));
+  EXPECT_EQ(server.value()->stats().patch_nacks, 1u);
+  EXPECT_EQ(server.value()->stats().faults, 0u);
+  server.value()->stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, UnjournaledWrite,
                          ::testing::Values(server::IoModel::kBlocking,
                                            server::IoModel::kReactor));
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "buffer/sinks.hpp"
+#include "common/poly_hash.hpp"
 #include "compress/deflate.hpp"
 #include "diffwire/wire_format.hpp"
 #include "http/http_message.hpp"
@@ -111,7 +112,7 @@ std::string patch_request(const std::string& pinned, const std::string& fresh,
   header.flags = runs.empty() ? diffwire::kFlagReplay : 0;
   header.run_count = static_cast<std::uint32_t>(runs.size());
   header.body_len = static_cast<std::uint32_t>(fresh.size());
-  header.checksum = diffwire::fnv1a(fresh) + checksum_delta;
+  header.checksum = poly::hash(fresh) + checksum_delta;
   std::string frame;
   diffwire::append_patch_header(frame, header);
   for (const auto& [offset, length] : runs) {
