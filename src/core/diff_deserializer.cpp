@@ -6,7 +6,9 @@
 #include "soap/envelope_reader.hpp"
 #include "textconv/parse.hpp"
 #include "xml/escape.hpp"
+#ifdef BSOAP_DEBUG_INVARIANTS
 #include "xml/pull_parser.hpp"
+#endif
 
 namespace bsoap::core {
 namespace {
@@ -225,7 +227,7 @@ struct SlotCollector {
 
 }  // namespace
 
-void DiffDeserializer::collect_slots() {
+bool DiffDeserializer::collect_slots() {
   slots_.clear();
   bool all_supported = true;
   const auto push = [&](void* target, char kind) {
@@ -244,10 +246,16 @@ void DiffDeserializer::collect_slots() {
   if (!all_supported || slots_.size() != regions_.size()) {
     fast_path_usable_ = false;
   }
+  return all_supported;
 }
 
 Status DiffDeserializer::full_parse(std::string_view document) {
-  Result<soap::RpcCall> call = soap::read_rpc_envelope(document);
+  // One pass: the reader records every typed-array leaf's text span while
+  // it parses (reusing the region table's capacity).
+  soap::LeafSpans leaves;
+  leaves.spans.swap(regions_);
+  Result<soap::RpcCall> call = soap::read_rpc_envelope(document, &leaves);
+  regions_.swap(leaves.spans);
   if (!call.ok()) {
     // The cache may already be torn (apply_runs copies run bytes before
     // re-parsing leaves); never serve it after a failed re-prime.
@@ -258,22 +266,34 @@ Status DiffDeserializer::full_parse(std::string_view document) {
   cached_call_ = std::move(call.value());
   cached_doc_.assign(document);
   cache_valid_ = true;
-  fast_path_usable_ = true;
+  fast_path_usable_ = leaves.exact;
+  [[maybe_unused]] const bool all_supported = collect_slots();
+#ifdef BSOAP_DEBUG_INVARIANTS
+  check_regions_against_walk(leaves.exact && all_supported);
+#endif
+  return Status{};
+}
 
-  // Record the byte regions of scalar-content text: a text event whose
-  // element has no element children is a candidate leaf region.
-  regions_.clear();
+#ifdef BSOAP_DEBUG_INVARIANTS
+/// Checks the one-pass map against a separate pull-parser walk that takes
+/// the span of every childless element's single text event (the pass
+/// full_parse made before the reader recorded spans itself). When the
+/// reader's spans are exact, every leaf is slot-addressable and the walk
+/// finds one region per slot, the two maps are identical; a usable map is
+/// in any case a subsequence of the walk's (it leaves out header leaves).
+void DiffDeserializer::check_regions_against_walk(bool exact) const {
+  std::vector<LeafRegion> walked;
+  bool walk_usable = true;
   xml::XmlPullParser parser(cached_doc_);
   struct Frame {
     bool has_children = false;
-    std::size_t text_begin = 0;
-    std::size_t text_end = 0;
+    LeafRegion text{0, 0};
     int text_events = 0;
   };
   std::vector<Frame> stack;
   for (;;) {
     Result<xml::XmlEvent> event = parser.next();
-    if (!event.ok()) return event.error();
+    if (!event.ok()) return;  // trailing bytes the envelope reader ignores
     if (event.value() == xml::XmlEvent::kEof) break;
     switch (event.value()) {
       case xml::XmlEvent::kStartElement:
@@ -282,34 +302,39 @@ Status DiffDeserializer::full_parse(std::string_view document) {
         break;
       case xml::XmlEvent::kText:
         if (!stack.empty()) {
-          Frame& f = stack.back();
-          f.text_begin = parser.event_begin();
-          f.text_end = parser.event_end();
-          ++f.text_events;
+          stack.back().text = LeafRegion{parser.event_begin(),
+                                         parser.event_end()};
+          ++stack.back().text_events;
         }
         break;
       case xml::XmlEvent::kEndElement: {
         const Frame f = stack.back();
         stack.pop_back();
-        if (!f.has_children && f.text_events == 1) {
-          regions_.push_back(LeafRegion{f.text_begin, f.text_end});
-        } else if (!f.has_children && f.text_events > 1) {
-          fast_path_usable_ = false;  // split text (CDATA/entity mix)
-        } else if (!f.has_children && f.text_events == 0 &&
-                   stack.size() > 2) {
-          // Empty leaf (e.g. empty string): region bookkeeping would
-          // misalign with the leaf walk, so disable the fast path.
-          fast_path_usable_ = false;
-        }
+        if (f.has_children) break;
+        if (f.text_events == 1) walked.push_back(f.text);
+        else if (f.text_events > 1 || stack.size() > 2) walk_usable = false;
         break;
       }
       default:
         break;
     }
   }
-
-  collect_slots();
-  return Status{};
+  const auto same = [](const LeafRegion& a, const LeafRegion& b) {
+    return a.begin == b.begin && a.end == b.end;
+  };
+  const auto before = [](const LeafRegion& a, const LeafRegion& b) {
+    return a.begin < b.begin;
+  };
+  if (exact && walk_usable && walked.size() == slots_.size()) {
+    BSOAP_ASSERT(fast_path_usable_);
+    BSOAP_ASSERT(std::equal(walked.begin(), walked.end(), regions_.begin(),
+                            regions_.end(), same));
+  }
+  if (fast_path_usable_) {
+    BSOAP_ASSERT(std::includes(walked.begin(), walked.end(), regions_.begin(),
+                               regions_.end(), before));
+  }
 }
+#endif
 
 }  // namespace bsoap::core

@@ -7,9 +7,10 @@
 // the server re-parses just the leaves those runs touch instead of the
 // whole envelope, and an unchanged document costs nothing at all.
 //
-//   prime(document)       — full parse; (re)builds the cached call and the
-//                           leaf-region map (absolute body offsets of every
-//                           scalar leaf).
+//   prime(document)       — full parse; (re)builds the cached call and,
+//                           in the same pass, the leaf-region map
+//                           (absolute body offsets of every typed-array
+//                           leaf).
 //   apply_runs(doc, runs) — trusts the caller that every byte outside `runs`
 //                           equals the cached document, so the fast path
 //                           touches only the dirty bytes: intersect the runs
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "soap/envelope_reader.hpp"
 #include "soap/value.hpp"
 
 namespace bsoap::core {
@@ -36,13 +38,11 @@ namespace bsoap::core {
 class DiffDeserializer {
  public:
   /// One leaf's byte span in the cached document (text content of a
-  /// childless element, absolute body offsets, [begin, end)). Regions are
-  /// sorted by begin and stay valid across apply_runs() epochs because
-  /// patches never change the body length.
-  struct LeafRegion {
-    std::size_t begin;
-    std::size_t end;
-  };
+  /// typed-array leaf, absolute body offsets, [begin, end)), recorded by
+  /// the full parse itself. Regions are in slot order, sorted by begin,
+  /// and stay valid across apply_runs() epochs because patches never
+  /// change the body length.
+  using LeafRegion = soap::LeafSpan;
 
   /// One contiguous dirty byte span of a patched document.
   struct DirtyRun {
@@ -103,7 +103,11 @@ class DiffDeserializer {
   Status full_parse(std::string_view document);
   Result<ApplyReport> demote(std::string_view document);
   Status reparse_slot(std::size_t index, std::string_view fresh);
-  void collect_slots();
+  /// Rebuilds slots_; false when some leaf is not slot-addressable.
+  bool collect_slots();
+#ifdef BSOAP_DEBUG_INVARIANTS
+  void check_regions_against_walk(bool exact) const;
+#endif
 
   std::string cached_doc_;
   soap::RpcCall cached_call_;

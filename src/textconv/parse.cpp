@@ -1,8 +1,6 @@
 #include "textconv/parse.hpp"
 
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
 #include <limits>
 #include <string>
 
@@ -11,12 +9,36 @@ namespace {
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-// Powers of ten exactly representable as doubles (10^0 .. 10^22).
-constexpr double kExactPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
-                                  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
-                                  1e12, 1e13, 1e14, 1e15, 1e16, 1e17,
-                                  1e18, 1e19, 1e20, 1e21, 1e22};
-constexpr int kMaxExactPow10 = 22;
+/// The decimal exponent just above the leading nonzero digit of a lexical
+/// from_chars accepted (digits, '.', optional exponent): positive iff the
+/// magnitude is at least 1. Only out-of-range values reach it, and those
+/// are far from 1 either way.
+int leading_digit_power(std::string_view lexical) {
+  int power = 0;
+  bool seen_point = false;
+  bool seen_nonzero = false;
+  std::size_t i = 0;
+  for (; i < lexical.size() && (is_digit(lexical[i]) || lexical[i] == '.');
+       ++i) {
+    if (lexical[i] == '.') {
+      seen_point = true;
+    } else if (seen_nonzero || lexical[i] != '0') {
+      seen_nonzero = true;
+      if (!seen_point) ++power;
+    } else if (seen_point) {
+      --power;  // a zero between the point and the first nonzero digit
+    }
+  }
+  if (i == lexical.size()) return power;
+  ++i;  // 'e' or 'E'
+  const bool exp_negative = lexical[i] == '-';
+  if (lexical[i] == '-' || lexical[i] == '+') ++i;
+  int exp10 = 0;
+  for (; i < lexical.size(); ++i) {
+    if (exp10 < 100000) exp10 = exp10 * 10 + (lexical[i] - '0');
+  }
+  return power + (exp_negative ? -exp10 : exp10);
+}
 
 template <typename U>
 Result<U> parse_unsigned_body(std::string_view text, U max_value) {
@@ -68,103 +90,38 @@ Result<std::uint64_t> parse_u64(std::string_view text) {
       text, std::numeric_limits<std::uint64_t>::max());
 }
 
-ParseDoubleCounters& parse_double_counters() {
-  static ParseDoubleCounters counters;
-  return counters;
-}
-
 Result<double> parse_double(std::string_view text) {
-  if (text.empty()) return Error{ErrorCode::kParseError, "empty double"};
-
-  // xsd:double special lexicals.
-  if (text == "INF" || text == "+INF") {
-    return std::numeric_limits<double>::infinity();
-  }
-  if (text == "-INF") return -std::numeric_limits<double>::infinity();
-  if (text == "NaN") return std::numeric_limits<double>::quiet_NaN();
-
-  std::string_view rest = text;
-  bool negative = false;
-  if (rest.front() == '-' || rest.front() == '+') {
-    negative = rest.front() == '-';
-    rest.remove_prefix(1);
-  }
-  if (rest.empty()) return Error{ErrorCode::kParseError, "sign only"};
-
-  // Scan mantissa: digits [ '.' digits ].
-  std::uint64_t mantissa = 0;
-  int mantissa_digits = 0;
-  int truncated_digits = 0;  // digits dropped because mantissa would overflow
-  int fraction_digits = 0;
-  bool seen_digit = false;
-  bool seen_point = false;
-  std::size_t i = 0;
-  for (; i < rest.size(); ++i) {
-    const char c = rest[i];
-    if (is_digit(c)) {
-      seen_digit = true;
-      if (mantissa_digits < 19) {
-        mantissa = mantissa * 10 + static_cast<std::uint64_t>(c - '0');
-        if (mantissa != 0) ++mantissa_digits;
-        if (seen_point) ++fraction_digits;
-      } else {
-        ++truncated_digits;
-        if (seen_point) ++fraction_digits;  // position still counts
-      }
-    } else if (c == '.') {
-      if (seen_point) return Error{ErrorCode::kParseError, "double '.'"};
-      seen_point = true;
-    } else {
-      break;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  if (p == end) return Error{ErrorCode::kParseError, "empty double"};
+  const bool negative = *p == '-';
+  if (*p == '-' || *p == '+') ++p;
+  // from_chars also reads "inf", "nan" and a second sign; xsd:double has
+  // only these special lexicals and wants a digit or '.' after the sign.
+  if (p == end || (!is_digit(*p) && *p != '.')) {
+    const std::string_view word(p, static_cast<std::size_t>(end - p));
+    if (word == "INF") {
+      return negative ? -std::numeric_limits<double>::infinity()
+                      : std::numeric_limits<double>::infinity();
     }
+    if (word == "NaN" && p == text.data()) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return Error{ErrorCode::kParseError, "bad double"};
   }
-  if (!seen_digit) return Error{ErrorCode::kParseError, "no digits"};
-
-  int exp10 = 0;
-  if (i < rest.size() && (rest[i] == 'e' || rest[i] == 'E')) {
-    ++i;
-    bool exp_negative = false;
-    if (i < rest.size() && (rest[i] == '-' || rest[i] == '+')) {
-      exp_negative = rest[i] == '-';
-      ++i;
-    }
-    if (i >= rest.size() || !is_digit(rest[i])) {
-      return Error{ErrorCode::kParseError, "bad exponent"};
-    }
-    int e = 0;
-    for (; i < rest.size() && is_digit(rest[i]); ++i) {
-      if (e < 100000) e = e * 10 + (rest[i] - '0');
-    }
-    exp10 = exp_negative ? -e : e;
-  }
-  if (i != rest.size()) {
-    return Error{ErrorCode::kParseError, "trailing characters in double"};
-  }
-
-  const int effective_exp = exp10 - fraction_digits + truncated_digits;
-
-  // Clinger fast path: both the mantissa and 10^|exp| are exactly
-  // representable, so one multiply/divide is correctly rounded.
-  if (truncated_digits == 0 && mantissa < (1ull << 53)) {
-    if (effective_exp >= 0 && effective_exp <= kMaxExactPow10) {
-      parse_double_counters().fast_path.fetch_add(1, std::memory_order_relaxed);
-      const double v = static_cast<double>(mantissa) * kExactPow10[effective_exp];
-      return negative ? -v : v;
-    }
-    if (effective_exp < 0 && effective_exp >= -kMaxExactPow10) {
-      parse_double_counters().fast_path.fetch_add(1, std::memory_order_relaxed);
-      const double v = static_cast<double>(mantissa) / kExactPow10[-effective_exp];
-      return negative ? -v : v;
-    }
-  }
-
-  // Slow path: delegate to strtod on a NUL-terminated copy.
-  parse_double_counters().slow_path.fetch_add(1, std::memory_order_relaxed);
-  const std::string copy(text);
-  char* end = nullptr;
-  const double v = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) {
-    return Error{ErrorCode::kParseError, "strtod rejected input"};
+  // Correctly rounded, so bit-equal to strtod, without strtod's
+  // NUL-terminated copy or its dependence on the C locale. from_chars takes
+  // a '-' but no '+'.
+  double v = 0;
+  const std::from_chars_result r =
+      std::from_chars(negative ? p - 1 : p, end, v);
+  if (r.ptr != end) return Error{ErrorCode::kParseError, "bad double"};
+  if (r.ec == std::errc::result_out_of_range) {
+    // from_chars leaves v alone; strtod gives ±inf or ±0, and so do we.
+    v = leading_digit_power(std::string_view(p, end - p)) > 0
+            ? std::numeric_limits<double>::infinity()
+            : 0.0;
+    if (negative) v = -v;
   }
   return v;
 }

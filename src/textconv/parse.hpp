@@ -1,14 +1,12 @@
 // ASCII -> number parsing for SOAP deserialization and the XML parser.
 //
-// Integer parsing is exact with overflow detection. Double parsing uses the
-// Clinger fast path (exact when the decimal mantissa fits in 53 bits and the
-// power of ten is exactly representable) and falls back to strtod for the
-// hard cases — deserialization is not the paper's bottleneck, serialization
-// is, so we optimize the common scientific-data shapes and keep the fallback
-// simple and correct.
+// Integer parsing is exact with overflow detection. Double parsing checks
+// the xsd:double special lexicals and sign, then hands the number to
+// std::from_chars: correctly rounded (bit-equal to strtod, over- and
+// underflow included), with no NUL-terminated copy and no dependence on the
+// C locale.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string_view>
 
@@ -25,13 +23,5 @@ Result<std::uint64_t> parse_u64(std::string_view text);
 /// Parses a full string as an xsd:double lexical (decimal or scientific
 /// notation, plus "INF", "-INF", "NaN"). Fails on empty input or junk.
 Result<double> parse_double(std::string_view text);
-
-/// Statistics for tests: how often the exact fast path was taken. Atomic —
-/// parsing runs concurrently on the server runtime's worker pool.
-struct ParseDoubleCounters {
-  std::atomic<std::uint64_t> fast_path{0};
-  std::atomic<std::uint64_t> slow_path{0};
-};
-ParseDoubleCounters& parse_double_counters();
 
 }  // namespace bsoap::textconv

@@ -1,6 +1,7 @@
 #include "xml/pull_parser.hpp"
 
 #include <cctype>
+#include <cstring>
 
 #include "xml/escape.hpp"
 
@@ -96,6 +97,42 @@ Result<XmlEvent> XmlPullParser::next() {
     }
     return parse_start_tag();
   }
+}
+
+std::optional<SimpleElement> XmlPullParser::next_simple_element() {
+  if (pending_self_close_ || stack_.empty()) return std::nullopt;
+  const std::size_t size = doc_.size();
+  std::size_t p = pos_;
+  while (p < size && is_ws(doc_[p])) ++p;
+  if (p + 1 >= size || doc_[p] != '<' || !is_name_start(doc_[p + 1])) {
+    return std::nullopt;
+  }
+  const std::size_t name_begin = p + 1;
+  p = name_begin + 1;
+  while (p < size && is_name_char(doc_[p])) ++p;
+  if (p >= size || doc_[p] != '>') return std::nullopt;
+  const std::string_view name = doc_.substr(name_begin, p - name_begin);
+  const std::size_t text_begin = p + 1;
+  const char* lt = static_cast<const char*>(
+      std::memchr(doc_.data() + text_begin, '<', size - text_begin));
+  if (lt == nullptr) return std::nullopt;
+  const std::size_t text_end = static_cast<std::size_t>(lt - doc_.data());
+  if (std::memchr(doc_.data() + text_begin, '&', text_end - text_begin) !=
+      nullptr) {
+    return std::nullopt;
+  }
+  // "</" name ">" with nothing in between.
+  const std::size_t close_end = text_end + 3 + name.size();
+  if (close_end > size || doc_[text_end + 1] != '/' ||
+      doc_.compare(text_end + 2, name.size(), name) != 0 ||
+      doc_[close_end - 1] != '>') {
+    return std::nullopt;
+  }
+  event_begin_ = name_begin - 1;
+  pos_ = close_end;
+  name_ = name;
+  return SimpleElement{name,
+                       doc_.substr(text_begin, text_end - text_begin)};
 }
 
 Result<XmlEvent> XmlPullParser::parse_text() {

@@ -8,6 +8,7 @@
 // re-parsing unchanged regions of an incoming message.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,13 @@ struct XmlAttribute {
   std::string value;      ///< entity-decoded
 };
 
+/// A sibling of the plainest form, `<name>text</name>`; both views point
+/// into the document, so `text.data()` locates the text's byte span.
+struct SimpleElement {
+  std::string_view name;
+  std::string_view text;
+};
+
 class XmlPullParser {
  public:
   struct Options {
@@ -43,6 +51,15 @@ class XmlPullParser {
 
   /// Advances to the next event.
   Result<XmlEvent> next();
+
+  /// Consumes the next sibling only if it is exactly `<name>text</name>`
+  /// after optional whitespace: no attributes, no whitespace inside either
+  /// tag, and text without '<' or '&' (so no comment, CDATA, entity or
+  /// child element). Otherwise consumes nothing and returns nullopt; next()
+  /// then reads the same bytes as events. A match is a balanced element, so
+  /// depth() is unchanged; it yields the events next() would have, minus
+  /// the copy of the text.
+  std::optional<SimpleElement> next_simple_element();
 
   /// Element qname; valid after kStartElement / kEndElement.
   std::string_view name() const { return name_; }

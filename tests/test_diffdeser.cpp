@@ -379,6 +379,48 @@ TEST(DiffDeserializerApplyRuns, UnprimedFallsBackToFullParse) {
   expect_matches_oracle(deser, doc);
 }
 
+TEST(DiffDeserializerApplyRuns, MioMembersOutOfOrderNeverFastParse) {
+  // Regions follow the document, slots follow x, y, v: with <y> before <x>
+  // a patch to y's text would land in x. Such a map is never used.
+  const auto doc_with_y = [](char y) {
+    return std::string(
+               "<SOAP-ENV:Envelope><SOAP-ENV:Body><ns1:m xmlns:ns1=\"urn:s\">"
+               "<data SOAP-ENC:arrayType=\"ns1:MIO[1]\"><item><y>") +
+           y +
+           "</y><x>1</x><v>0.5</v></item></data></ns1:m></SOAP-ENV:Body>"
+           "</SOAP-ENV:Envelope>";
+  };
+  const std::string doc = doc_with_y('2');
+  const std::string fresh = doc_with_y('3');
+  DiffDeserializer deser;
+  ASSERT_TRUE(deser.prime(doc).ok());
+  EXPECT_FALSE(deser.fast_path_usable());
+  Result<DiffDeserializer::ApplyReport> report = apply_diff(deser, doc, fresh);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
+  EXPECT_EQ(deser.call().params[0].value.mios()[0], (soap::Mio{1, 3, 0.5}));
+}
+
+TEST(DiffDeserializerApplyRuns, EmptyArrayKeepsTheFastPath) {
+  // An empty array has no leaves: the map is empty but exact.
+  RpcCall call = soap::make_double_array_call({});
+  call.params.push_back(soap::Param{
+      "more", soap::Value::from_double_array(
+                  soap::doubles_with_serialized_length(4, 18, 52))});
+  const std::string doc = serialize(call);
+  DiffDeserializer deser;
+  ASSERT_TRUE(deser.prime(doc).ok());
+  EXPECT_TRUE(deser.fast_path_usable());
+  EXPECT_EQ(deser.regions().size(), 4u);
+  call.params[1].value.doubles()[2] =
+      soap::doubles_with_serialized_length(1, 18, 53)[0];
+  const std::string fresh = serialize(call);
+  Result<DiffDeserializer::ApplyReport> report = apply_diff(deser, doc, fresh);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFastParse);
+  expect_matches_oracle(deser, fresh);
+}
+
 TEST(DiffDeserializerApplyRuns, RandomizedDirtyRunSweepsMatchOracle) {
   std::mt19937_64 rng(2026);
   for (int trial = 0; trial < 5; ++trial) {

@@ -13,6 +13,8 @@
 #include "soap/envelope_writer.hpp"
 #include "soap/soap_server.hpp"
 #include "soap/workload.hpp"
+#include "textconv/parse.hpp"
+#include "typed_array_docs.hpp"
 
 namespace bsoap::soap {
 namespace {
@@ -352,6 +354,189 @@ TEST(Envelope, FuzzRandomCallsRoundTrip) {
           << "round " << round << " param " << p;
     }
   }
+}
+
+// --- The typed-array scanner against the general reader -------------------
+//
+// Every regular item goes through the scanner; an irregular form of the same
+// item (comment, attribute, entity, CDATA, "</item >", text before it) goes
+// through the general event loop. A document and its twin must read alike.
+
+using testing::ArrayElem;
+using testing::Irregularity;
+
+constexpr ArrayElem kElems[] = {ArrayElem::kDouble, ArrayElem::kInt,
+                                ArrayElem::kMio};
+
+/// The values a document's lexicals stand for, straight from textconv.
+Value expected_value(const testing::TypedArrayDoc& doc) {
+  const auto lexical = [](const testing::Leaf& leaf) -> std::string_view {
+    return leaf.lexical;
+  };
+  if (doc.elem == ArrayElem::kDouble) {
+    std::vector<double> v;
+    for (const testing::Item& item : doc.items) {
+      v.push_back(textconv::parse_double(lexical(item.leaves[0])).value());
+    }
+    return Value::from_double_array(std::move(v));
+  }
+  if (doc.elem == ArrayElem::kInt) {
+    std::vector<std::int32_t> v;
+    for (const testing::Item& item : doc.items) {
+      v.push_back(textconv::parse_i32(lexical(item.leaves[0])).value());
+    }
+    return Value::from_int_array(std::move(v));
+  }
+  std::vector<Mio> v;
+  for (const testing::Item& item : doc.items) {
+    v.push_back(Mio{textconv::parse_i32(lexical(item.leaves[0])).value(),
+                    textconv::parse_i32(lexical(item.leaves[1])).value(),
+                    textconv::parse_double(lexical(item.leaves[2])).value()});
+  }
+  return Value::from_mio_array(std::move(v));
+}
+
+TEST(TypedArrayTwins, IrregularItemParsesBitEqual) {
+  Rng rng(2020);
+  for (const ArrayElem elem : kElems) {
+    for (int round = 0; round < 40; ++round) {
+      const std::size_t n = 1 + rng.next_below(30);
+      const testing::TypedArrayDoc doc =
+          testing::random_typed_array_doc(elem, n, rng);
+      const std::string regular = doc.render();
+      Result<RpcCall> base = read_rpc_envelope(regular);
+      ASSERT_TRUE(base.ok()) << base.error().to_string() << "\n" << regular;
+      ASSERT_EQ(base.value().params.size(), 1u);
+      ASSERT_TRUE(testing::bit_equal(base.value().params[0].value,
+                                     expected_value(doc)))
+          << regular;
+      for (int form = 1; form < testing::kIrregularityCount; ++form) {
+        const auto irregularity = static_cast<Irregularity>(form);
+        // The first, the last and a random item; then every item, which
+        // leaves the whole array to the general reader.
+        const std::size_t k = rng.next_below(n);
+        const std::pair<std::size_t, std::size_t> spans[] = {
+            {0, 1}, {n - 1, n}, {k, k + 1}, {0, n}};
+        for (const auto& [from, to] : spans) {
+          const std::string twin = doc.render(irregularity, from, to);
+          Result<RpcCall> parsed = read_rpc_envelope(twin);
+          ASSERT_TRUE(parsed.ok()) << parsed.error().to_string() << "\n"
+                                   << twin;
+          EXPECT_TRUE(testing::bit_equal(parsed.value(), base.value()))
+              << twin;
+        }
+      }
+    }
+  }
+}
+
+TEST(TypedArrayTwins, BadLexicalFailsAlikeOnBothPaths) {
+  static const char* const kBad[] = {"1.5x", "",    "1e",  "--1",
+                                     "nan",  "0x1", "1 2", "2147483648"};
+  Rng rng(2021);
+  for (const ArrayElem elem : kElems) {
+    for (int round = 0; round < 60; ++round) {
+      const std::size_t n = 2 + rng.next_below(20);
+      testing::TypedArrayDoc doc =
+          testing::random_typed_array_doc(elem, n, rng);
+      const std::size_t bad_item = rng.next_below(n);
+      testing::Item& item = doc.items[bad_item];
+      testing::Leaf& leaf = item.leaves[rng.next_below(item.leaves.size())];
+      leaf.lexical = kBad[rng.next_below(sizeof(kBad) / sizeof(kBad[0]))];
+      const std::string regular = doc.render();
+      Result<RpcCall> base = read_rpc_envelope(regular);
+      if (base.ok()) {
+        // "2147483648" is a fine double; the others never parse.
+        ASSERT_EQ(leaf.lexical, "2147483648");
+        continue;
+      }
+      EXPECT_EQ(base.error().message.rfind("bad ", 0), 0u)
+          << base.error().message;
+      for (int form = 1; form < testing::kIrregularityCount; ++form) {
+        const auto irregularity = static_cast<Irregularity>(form);
+        const std::size_t k = rng.next_below(n);
+        const std::pair<std::size_t, std::size_t> spans[] = {
+            {bad_item, bad_item + 1}, {k, k + 1}, {0, n}};
+        for (const auto& [from, to] : spans) {
+          const std::string twin = doc.render(irregularity, from, to);
+          Result<RpcCall> parsed = read_rpc_envelope(twin);
+          ASSERT_FALSE(parsed.ok()) << twin;
+          EXPECT_EQ(parsed.error().message, base.error().message) << twin;
+        }
+      }
+    }
+  }
+}
+
+TEST(TypedArrayTwins, LeafSpansCoverEachLexicalInValueOrder) {
+  Rng rng(2022);
+  for (const ArrayElem elem : kElems) {
+    const testing::TypedArrayDoc doc =
+        testing::random_typed_array_doc(elem, 25, rng);
+    const std::string regular = doc.render();
+    LeafSpans spans;
+    ASSERT_TRUE(read_rpc_envelope(regular, &spans).ok());
+    EXPECT_TRUE(spans.exact);
+    std::vector<std::string> texts;
+    for (const testing::Item& item : doc.items) {
+      for (const testing::Leaf& leaf : item.leaves) {
+        texts.push_back(leaf.pre + leaf.lexical + leaf.post);
+      }
+    }
+    ASSERT_EQ(spans.spans.size(), texts.size());
+    for (std::size_t i = 0; i < texts.size(); ++i) {
+      const LeafSpan s = spans.spans[i];
+      EXPECT_EQ(regular.substr(s.begin, s.end - s.begin), texts[i]) << i;
+    }
+    // The general reader records the same spans for forms that keep the
+    // text in one event, and none that pass for exact otherwise.
+    for (const Irregularity irregularity :
+         {Irregularity::kAttribute, Irregularity::kSpacedClose,
+          Irregularity::kComment, Irregularity::kTextBefore}) {
+      const std::string twin = doc.render(irregularity, 0, 25);
+      LeafSpans twin_spans;
+      ASSERT_TRUE(read_rpc_envelope(twin, &twin_spans).ok());
+      EXPECT_TRUE(twin_spans.exact);
+      ASSERT_EQ(twin_spans.spans.size(), texts.size());
+      for (std::size_t i = 0; i < texts.size(); ++i) {
+        const LeafSpan s = twin_spans.spans[i];
+        EXPECT_EQ(twin.substr(s.begin, s.end - s.begin), texts[i]) << i;
+      }
+    }
+    LeafSpans split;
+    ASSERT_TRUE(
+        read_rpc_envelope(doc.render(Irregularity::kSplitComment, 3, 4), &split)
+            .ok());
+    // Item 3's first leaf carries the comment (a MIO's member 3 % 3).
+    EXPECT_EQ(split.exact, doc.items[3].leaves[0].lexical.size() < 2);
+  }
+}
+
+TEST(TypedArrayTwins, MioMembersOutOfOrderAreNotExact) {
+  const std::string doc =
+      "<SOAP-ENV:Envelope><SOAP-ENV:Body><ns1:m xmlns:ns1=\"urn:s\">"
+      "<data SOAP-ENC:arrayType=\"ns1:MIO[1]\"><item><y>2</y><x>1</x>"
+      "<v>0.5</v></item></data></ns1:m></SOAP-ENV:Body></SOAP-ENV:Envelope>";
+  LeafSpans spans;
+  Result<RpcCall> parsed = read_rpc_envelope(doc, &spans);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().params[0].value.mios()[0], (Mio{1, 2, 0.5}));
+  EXPECT_FALSE(spans.exact);
+}
+
+TEST(TypedArrayTwins, MultiRefDocumentsAreNotExact) {
+  const std::string doc =
+      "<SOAP-ENV:Envelope><SOAP-ENV:Body>"
+      "<multiRef id=\"r\" SOAP-ENC:arrayType=\"xsd:double[1]\">"
+      "<item>1.5</item></multiRef>"
+      "<ns1:m xmlns:ns1=\"u\"><x href=\"#r\"/></ns1:m>"
+      "</SOAP-ENV:Body></SOAP-ENV:Envelope>";
+  LeafSpans spans;
+  Result<RpcCall> parsed = read_rpc_envelope(doc, &spans);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().params[0].value.doubles(),
+            (std::vector<double>{1.5}));
+  EXPECT_FALSE(spans.exact);
 }
 
 }  // namespace

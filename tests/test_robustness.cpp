@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/poly_hash.hpp"
 #include "compress/deflate.hpp"
+#include "core/diff_deserializer.hpp"
 #include "core/parsed_replica.hpp"
 #include "diffwire/replica_store.hpp"
 #include "diffwire/wire_format.hpp"
@@ -28,6 +31,7 @@
 #include "wsdl/parser.hpp"
 #include "wsdl/writer.hpp"
 #include "xml/pull_parser.hpp"
+#include "typed_array_docs.hpp"
 
 namespace bsoap {
 namespace {
@@ -595,6 +599,210 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
   EXPECT_GT(applied, 200u);
   EXPECT_GT(served_fast, 50u);
   EXPECT_GT(store.stats().nacks, 100u);
+}
+
+// --- typed-array scanner: mutated envelopes ---------------------------------
+
+/// `doc` with `from` replaced by `to` everywhere.
+std::string replace_all(std::string doc, std::string_view from,
+                        std::string_view to) {
+  for (std::size_t at = doc.find(from); at != std::string::npos;
+       at = doc.find(from, at + to.size())) {
+    doc.replace(at, from.size(), to);
+  }
+  return doc;
+}
+
+/// The typed-array leaf regions of `doc` by a plain event walk, in value
+/// order (a MIO's members in x, y, v order), or nullopt where the one-pass
+/// map must not be used: a leaf not read from exactly one text event, MIO
+/// members out of order, or a multi-ref document.
+std::optional<std::vector<soap::LeafSpan>> reference_regions(
+    std::string_view doc) {
+  if (doc.find("href=\"#") != std::string_view::npos) return std::nullopt;
+  std::vector<soap::LeafSpan> out;
+  xml::XmlPullParser parser(doc);
+  std::size_t array_depth = 0;  // depth of the open array element, or 0
+  std::size_t leaf_depth = 0;   // depth its leaves sit at
+  bool mio = false;
+  soap::LeafSpan leaf{0, 0};
+  int leaf_texts = 0;
+  std::vector<soap::LeafSpan> members;  // the current MIO's, by slot
+  std::string order;                    // the current MIO's member names
+  bool exact = true;
+  for (;;) {
+    Result<xml::XmlEvent> event = parser.next();
+    if (!event.ok() || event.value() == xml::XmlEvent::kEof) break;
+    const std::size_t depth = parser.depth();
+    switch (event.value()) {
+      case xml::XmlEvent::kStartElement:
+        if (array_depth == 0) {
+          const xml::XmlAttribute* type =
+              parser.find_attribute("SOAP-ENC:arrayType");
+          if (type != nullptr) {
+            array_depth = depth;
+            mio = type->value.find("MIO") != std::string::npos;
+            leaf_depth = depth + (mio ? 2 : 1);
+          }
+        } else if (depth == leaf_depth) {
+          leaf_texts = 0;
+          if (mio) order += parser.name();
+        } else if (mio && depth == leaf_depth - 1) {
+          members.assign(3, soap::LeafSpan{0, 0});
+          order.clear();
+        }
+        break;
+      case xml::XmlEvent::kText:
+        if (array_depth != 0 && depth == leaf_depth) {
+          leaf = soap::LeafSpan{parser.event_begin(), parser.event_end()};
+          ++leaf_texts;
+        }
+        break;
+      case xml::XmlEvent::kEndElement:
+        // depth() already counts the closed element out.
+        if (array_depth != 0 && depth + 1 == leaf_depth) {
+          if (leaf_texts != 1) exact = false;
+          if (!mio) {
+            out.push_back(leaf);
+          } else if (const std::size_t slot =
+                         std::string_view("xyv").find(parser.name());
+                     slot != std::string_view::npos) {
+            members[slot] = leaf;
+          }
+        } else if (mio && array_depth != 0 && depth + 2 == leaf_depth) {
+          if (order != "xyv") exact = false;
+          out.insert(out.end(), members.begin(), members.end());
+        } else if (depth + 1 == array_depth) {
+          array_depth = 0;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  if (!exact) return std::nullopt;
+  return out;
+}
+
+TEST(RobustnessFuzz, TypedArrayScannerAgreesWithGeneralReaderOnMutations) {
+  // Mutates typed-array envelopes. Each mutated document reads the same
+  // (both fail, or bit-equal calls) as two twins: a comment after the array
+  // open tag (the first item goes to the general reader) and "<item >"
+  // spacing (every item does). prime()'s one-pass region map must equal a
+  // reference walk, and a digit rewritten inside a region must fast-parse
+  // to the full parse of the rewritten document.
+  Rng rng(1013);
+  static const char kBytes[] = "<>/&;# \t\n.-+eE0123456789!?[]xyvitem\"=";
+  std::size_t parsed_ok = 0;
+  std::size_t usable = 0;
+  std::size_t fast = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const auto elem = static_cast<testing::ArrayElem>(rng.next_below(3));
+    const std::size_t n = 1 + rng.next_below(12);
+    const testing::TypedArrayDoc source =
+        testing::random_typed_array_doc(elem, n, rng);
+    const std::size_t k = rng.next_below(n);
+    std::string doc = source.render(
+        static_cast<testing::Irregularity>(
+            rng.chance(1, 2) ? 0 : rng.next_below(testing::kIrregularityCount)),
+        k, k + 1 + rng.next_below(n - k));
+    const std::size_t array_open = doc.find('>', doc.find("<data ")) + 1;
+    const std::size_t mutations = 1 + rng.next_below(4);
+    for (std::size_t m = 0; m < mutations && !rng.chance(1, 8); ++m) {
+      const std::size_t at =
+          array_open + rng.next_below(doc.size() - array_open);
+      switch (rng.next_below(6)) {
+        case 0:
+          doc[at] = kBytes[rng.next_below(sizeof(kBytes) - 1)];
+          break;
+        case 4:  // mostly harmless: a digit for a digit, else a blank
+          if (doc[at] >= '0' && doc[at] <= '9') {
+            doc[at] = static_cast<char>('0' + rng.next_below(10));
+          } else {
+            doc.insert(at, 1, ' ');
+          }
+          break;
+        case 1:
+          doc.insert(at, 1, kBytes[rng.next_below(sizeof(kBytes) - 1)]);
+          break;
+        case 2:
+          doc.erase(at, 1 + rng.next_below(3));
+          break;
+        default:
+          doc.insert(at, doc.substr(at, rng.next_below(12)));
+          break;
+      }
+    }
+    const std::size_t open_end = doc.find("<data ") == std::string::npos
+                                     ? std::string::npos
+                                     : doc.find('>', doc.find("<data "));
+    const std::string commented =
+        open_end == std::string::npos
+            ? doc
+            : doc.substr(0, open_end + 1) + "<!---->" + doc.substr(open_end + 1);
+    std::string spaced = doc;  // "<item >": no item is scanned
+    for (const char* tag : {"item", "x", "y", "v"}) {
+      spaced = replace_all(std::move(spaced), std::string("<") + tag + ">",
+                           std::string("<") + tag + " >");
+    }
+
+    Result<soap::RpcCall> read = soap::read_rpc_envelope(doc);
+    for (const std::string& twin : {commented, spaced}) {
+      Result<soap::RpcCall> other = soap::read_rpc_envelope(twin);
+      ASSERT_EQ(read.ok(), other.ok()) << "round " << round << "\n" << doc;
+      if (read.ok()) {
+        ASSERT_TRUE(testing::bit_equal(read.value(), other.value()))
+            << "round " << round << "\n" << doc;
+      }
+    }
+
+    core::DiffDeserializer deser;
+    ASSERT_EQ(deser.prime(doc).ok(), read.ok()) << "round " << round;
+    if (!read.ok()) continue;
+    ++parsed_ok;
+    const std::optional<std::vector<soap::LeafSpan>> reference =
+        reference_regions(doc);
+    const std::span<const core::DiffDeserializer::LeafRegion> regions =
+        deser.regions();
+    if (reference.has_value()) {
+      ASSERT_TRUE(deser.fast_path_usable()) << "round " << round << "\n" << doc;
+    }
+    if (!deser.fast_path_usable()) continue;
+    ++usable;
+    ASSERT_TRUE(reference.has_value()) << "round " << round << "\n" << doc;
+    ASSERT_EQ(regions.size(), reference->size()) << "round " << round;
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      ASSERT_EQ(regions[i].begin, (*reference)[i].begin) << "round " << round;
+      ASSERT_EQ(regions[i].end, (*reference)[i].end) << "round " << round;
+    }
+
+    if (regions.empty()) continue;
+    const core::DiffDeserializer::LeafRegion r =
+        regions[rng.next_below(regions.size())];
+    std::size_t digit = r.begin;
+    while (digit < r.end && (doc[digit] < '0' || doc[digit] > '9')) ++digit;
+    if (digit == r.end) continue;
+    std::string fresh = doc;
+    fresh[digit] = static_cast<char>('0' + (doc[digit] - '0' + 1 +
+                                            rng.next_below(9)) % 10);
+    const core::DiffDeserializer::DirtyRun run{digit, 1};
+    Result<core::DiffDeserializer::ApplyReport> applied =
+        deser.apply_runs(fresh, std::span(&run, 1));
+    Result<soap::RpcCall> full = soap::read_rpc_envelope(fresh);
+    ASSERT_EQ(applied.ok(), full.ok()) << "round " << round;
+    if (applied.ok() &&
+        applied.value().path == core::DiffDeserializer::ApplyPath::kFastParse) {
+      ++fast;
+    }
+    if (full.ok()) {
+      ASSERT_TRUE(testing::bit_equal(deser.call(), full.value()))
+          << "round " << round << "\n" << fresh;
+    }
+  }
+  // The budget must reach both outcomes and the one-pass map.
+  EXPECT_GT(parsed_ok, 300u);
+  EXPECT_GT(usable, 250u);
+  EXPECT_GT(fast, 150u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -272,6 +273,76 @@ TEST(ParseDouble, AgreesWithStrtodOnDecimalStrings) {
     const double m = mine.value();
     EXPECT_EQ(std::memcmp(&m, &reference, sizeof(m)), 0) << s;
   }
+}
+
+/// strtod's reading of `s` (the oracle for every double parse_double reads).
+double strtod_bits(const std::string& s) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  EXPECT_EQ(end, s.c_str() + s.size()) << s;
+  return v;
+}
+
+TEST(ParseDouble, BitEqualToStrtodOnHardCases) {
+  // Long mantissas (past the 19 digits a uint64 holds and the 17 a double
+  // needs), exponents to ±330, subnormals, and values that overflow to ±inf
+  // or underflow to ±0 — the inputs that left the old fast path.
+  Rng rng(2004);
+  for (int i = 0; i < 100000; ++i) {
+    std::string s;
+    switch (rng.next_below(3)) {
+      case 0: s += '-'; break;
+      case 1: s += '+'; break;
+      default: break;
+    }
+    const int digits = static_cast<int>(rng.next_in(17, 40));
+    const int point = static_cast<int>(rng.next_in(0, digits));
+    for (int d = 0; d < digits; ++d) {
+      if (d == point) s += '.';
+      s += static_cast<char>((d == 0 ? '1' : '0') +
+                             rng.next_below(d == 0 ? 9 : 10));
+    }
+    s += rng.chance(1, 2) ? 'e' : 'E';
+    s += std::to_string(rng.next_in(-330, 330));
+    const Result<double> mine = parse_double(s);
+    ASSERT_TRUE(mine.ok()) << s;
+    const double m = mine.value();
+    const double reference = strtod_bits(s);
+    ASSERT_EQ(std::memcmp(&m, &reference, sizeof(m)), 0) << s;
+  }
+}
+
+TEST(ParseDouble, RangeEdgesMatchStrtod) {
+  for (const char* s :
+       {"1e400", "-1e400", "+1e400", "1.7976931348623159e308",
+        "-1.7976931348623159e308", "1.7976931348623157e308", "1e-400",
+        "-1e-400", "+1e-400", "0.0000000001e-320", "4.9e-324", "-4.9e-324",
+        "2.4703282292062327e-324", "2.4703282292062328e-324",
+        "2.2250738585072011e-308", "2.2250738585072014e-308", "0e999999",
+        "-0e-999999", "123456789012345678901234567890e-340",
+        "100000000000000000000000000000000000000000e300", "-0", "-0.0",
+        "1e-99999999999", "1e99999999999"}) {
+    const Result<double> mine = parse_double(s);
+    ASSERT_TRUE(mine.ok()) << s;
+    const double m = mine.value();
+    const double reference = strtod_bits(s);
+    EXPECT_EQ(std::memcmp(&m, &reference, sizeof(m)), 0) << s;
+  }
+}
+
+TEST(ParseDouble, RejectsWhatXsdDoubleDoes) {
+  // from_chars would read some of these; xsd:double (and the old scanner)
+  // does not.
+  for (const char* s : {"inf", "-inf", "nan", "infinity", "Infinity", "+NaN",
+                        "-NaN", "+-5", "-+5", "--5", "+", "-", ".", "-.",
+                        "e5", ".e5", " 1", "1 ", "0x10", "1e+", "1.2e3.4",
+                        "1e5x", "INFx", "+"}) {
+    EXPECT_FALSE(parse_double(s).ok()) << s;
+  }
+  EXPECT_EQ(parse_double("+INF").value(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parse_double("+.5").value(), 0.5);
+  EXPECT_EQ(parse_double("-.5e-3").value(), -0.0005);
 }
 
 TEST(FormatDecimal, BoundaryPointPositions) {

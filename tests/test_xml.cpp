@@ -1,6 +1,7 @@
 // Tests for XML escaping, the sink-templated writer, and the pull parser.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "buffer/chunked_buffer.hpp"
@@ -233,6 +234,83 @@ TEST(PullParser, SkipWhitespaceTextOption) {
   EXPECT_EQ(parser.next().value(), XmlEvent::kStartElement);  // a
   EXPECT_EQ(parser.next().value(), XmlEvent::kText);
   EXPECT_EQ(parser.text(), "x");
+}
+
+/// Reads one whole element with next() (start tag first), returning its
+/// name.
+std::string consume_element(XmlPullParser& parser) {
+  Result<XmlEvent> event = parser.next();
+  while (event.ok() && event.value() == XmlEvent::kText) event = parser.next();
+  EXPECT_TRUE(event.ok() && event.value() == XmlEvent::kStartElement);
+  const std::string name(parser.name());
+  const std::size_t depth = parser.depth();
+  while (parser.depth() >= depth) {
+    event = parser.next();
+    if (!event.ok()) return "ERROR:" + event.error().message;
+  }
+  return name;
+}
+
+TEST(PullParser, SimpleElementTakesOnlyThePlainForm) {
+  const std::string doc =
+      "<r> \n\t<a>1.5 </a><b></b><c/><d k=\"1\">2</d><e>&amp;</e>"
+      "<f><![CDATA[3]]></f><g>4<!--c--></g><h>5</h ><i ></i><j><k/></j>"
+      "<l>6</l><m>7</mm></m></r>";
+  XmlPullParser parser(doc);
+  EXPECT_FALSE(parser.next_simple_element().has_value());  // no root yet
+  ASSERT_EQ(parser.next().value(), XmlEvent::kStartElement);
+
+  std::optional<SimpleElement> a = parser.next_simple_element();
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->name, "a");
+  EXPECT_EQ(a->text, "1.5 ");
+  EXPECT_EQ(static_cast<std::size_t>(a->text.data() - doc.data()),
+            doc.find("1.5"));
+  EXPECT_EQ(parser.depth(), 1u);
+  std::optional<SimpleElement> b = parser.next_simple_element();
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(b->name, "b");
+  EXPECT_TRUE(b->text.empty());
+
+  // Each irregular form is left whole for next().
+  for (const char* name : {"c", "d", "e", "f", "g", "h", "i", "j"}) {
+    const std::size_t before = parser.depth();
+    EXPECT_FALSE(parser.next_simple_element().has_value()) << name;
+    EXPECT_EQ(parser.depth(), before);
+    EXPECT_EQ(consume_element(parser), name);
+  }
+  std::optional<SimpleElement> l = parser.next_simple_element();
+  ASSERT_TRUE(l.has_value());
+  EXPECT_EQ(l->text, "6");
+  // "</mm>" does not close <m>: not taken, and next() reports it.
+  EXPECT_FALSE(parser.next_simple_element().has_value());
+  EXPECT_EQ(consume_element(parser).substr(0, 6), "ERROR:");
+}
+
+TEST(PullParser, SimpleElementLeavesAPendingSelfCloseAlone) {
+  XmlPullParser parser("<r><s/><a>1</a></r>");
+  ASSERT_EQ(parser.next().value(), XmlEvent::kStartElement);  // r
+  ASSERT_EQ(parser.next().value(), XmlEvent::kStartElement);  // s
+  EXPECT_FALSE(parser.next_simple_element().has_value());
+  ASSERT_EQ(parser.next().value(), XmlEvent::kEndElement);
+  EXPECT_EQ(parser.name(), "s");
+  ASSERT_TRUE(parser.next_simple_element().has_value());
+  EXPECT_EQ(parser.next().value(), XmlEvent::kEndElement);  // r
+  EXPECT_EQ(parser.next().value(), XmlEvent::kEof);
+}
+
+TEST(PullParser, SimpleElementNeedsItsCloseTagInTheDocument) {
+  for (const char* doc : {"<r><a>1</a", "<r><a>1</", "<r><a>1", "<r><a>",
+                          "<r><a", "<r><"}) {
+    XmlPullParser parser(doc);
+    ASSERT_EQ(parser.next().value(), XmlEvent::kStartElement) << doc;
+    EXPECT_FALSE(parser.next_simple_element().has_value()) << doc;
+    Result<XmlEvent> event = parser.next();
+    while (event.ok() && event.value() != XmlEvent::kEof) {
+      event = parser.next();
+    }
+    EXPECT_FALSE(event.ok()) << doc;
+  }
 }
 
 // Writer output always parses back (fuzz over random trees).
