@@ -14,8 +14,6 @@
 // send (resolve / update / frame / write) is reported as the iteration's
 // manual time, so the breakdown is exactly what the production path measures
 // about itself.
-#include <algorithm>
-
 #include "bench/bench_common.hpp"
 #include "buffer/sinks.hpp"
 #include "core/client.hpp"
@@ -23,7 +21,6 @@
 #include "soap/envelope_writer.hpp"
 #include "soap/workload.hpp"
 #include "textconv/dtoa.hpp"
-#include "textconv/swar.hpp"
 
 #include "baseline/gsoap_like.hpp"
 
@@ -72,61 +69,6 @@ void register_figure() {
         core::SendStage::kFrame, core::SendStage::kWrite}) {
     register_pipeline_stage_series(stage);
   }
-
-  // Paired scalar/vectorized update-stage series: each iteration runs one
-  // PSM send with the scalar textconv tier and one with the vectorized
-  // tier, reporting the vectorized update-stage time as the iteration and
-  // the per-pair ratio in the counters. Pairing inside one iteration makes
-  // the ratio drift-immune (same methodology as Textconv/UpdateAB).
-  register_series(
-      "AblationPhases/PipelineUpdatePaired/Double",
-      [](benchmark::State& state, std::size_t n) {
-        BenchEnv env;
-        core::BsoapClient client(*env.transport);
-        core::StageTimings timings;
-        client.pipeline().set_observer(&timings);
-        const auto a = soap::doubles_with_serialized_length(n, 18, 1);
-        const auto b = soap::doubles_with_serialized_length(n, 18, 2);
-        (void)must(client.send_call(soap::make_double_array_call(a)));
-        bool use_b = true;
-        auto timed_send = [&](bool vectorized) {
-          textconv::set_textconv_tier(vectorized
-                                          ? textconv::detect_textconv_tier()
-                                          : textconv::TextconvTier::kScalar);
-          timings.reset();
-          (void)must(client.send_call(
-              soap::make_double_array_call(use_b ? b : a)));
-          use_b = !use_b;
-          return static_cast<double>(
-              timings.totals(core::SendStage::kUpdate).ns);
-        };
-        std::vector<double> ratios;
-        double scalar_sum = 0;
-        double vector_sum = 0;
-        for (auto _ : state) {
-          const double s = timed_send(false);
-          const double v = timed_send(true);
-          scalar_sum += s;
-          vector_sum += v;
-          if (v > 0) ratios.push_back(s / v);
-          state.SetIterationTime(v / 1e9);
-        }
-        textconv::set_textconv_tier(textconv::detect_textconv_tier());
-        if (!ratios.empty()) {
-          std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
-                           ratios.end());
-          state.counters["update_ratio"] = ratios[ratios.size() / 2];
-        }
-        state.counters["scalar_update_ns"] =
-            state.iterations() > 0
-                ? scalar_sum / static_cast<double>(state.iterations())
-                : 0.0;
-        state.counters["vectorized_update_ns"] =
-            state.iterations() > 0
-                ? vector_sum / static_cast<double>(state.iterations())
-                : 0.0;
-      },
-      /*manual_time=*/true);
 
   register_series("AblationPhases/Convert/Double",
                   [](benchmark::State& state, std::size_t n) {

@@ -332,14 +332,14 @@ def check_wire_compress(bench, entries):
 
 
 def check_textconv(bench, entries):
-    """Gates for the vectorized-textconv A/B and zero-copy write series.
+    """Gates for the textconv conversion-speed and zero-copy write series.
 
-    * "Textconv/UpdateAB/..." (and the paired ablation series) record the
-      median per-pair scalar/vectorized ratio of the differential update
-      stage; the vectorized tier must hold >= 1.2x at n >= 10000 and
-      >= 1.3x at n >= 50000 (where the bulk rewrite fully dominates fixed
-      costs; measured ~1.45x). Smaller n are informational — CI smoke runs
-      with BSOAP_BENCH_MAX_N=1000 never reach the gate.
+    * "Textconv/WriteDoubleVsToChars/..." records the median per-pair
+      write_double_ns / to_chars_ns ratio over interleaved rounds on the
+      same 17-char doubles. It must stay <= 1.4 at n >= 10000 (measured
+      ~1.2 for the SWAR path; the deleted scalar path read ~1.57, so a fall
+      back to scalar-speed conversion trips it). Smaller n are
+      informational: fixed costs dominate there.
     * "Textconv/ReactorZeroCopy/..." resends through the reactor engine
       with a synchronously-draining client: write_copied_bytes must be
       exactly 0 at every size — any copied byte means a response left via
@@ -349,16 +349,14 @@ def check_textconv(bench, entries):
     for entry in entries:
         series = entry["series"]
         c = entry.get("counters", {})
-        if series.startswith("Textconv/UpdateAB/"):
-            ratio = c.get("update_ratio", 0)
-            floor = 1.3 if entry["n"] >= 50000 else (
-                1.2 if entry["n"] >= 10000 else 0)
-            if floor and ratio < floor:
+        if (series.startswith("Textconv/WriteDoubleVsToChars/")
+                and entry["n"] >= 10000):
+            ratio = c.get("to_chars_ratio", float("inf"))
+            if ratio > 1.4:
                 errors.append(
-                    f"{bench} {series}/{entry['n']}: vectorized update "
-                    f"speedup {ratio:.2f}x < {floor}x — the SWAR/SIMD "
-                    f"kernels regressed or the scalar path is being "
-                    f"dispatched")
+                    f"{bench} {series}/{entry['n']}: write_double takes "
+                    f"{ratio:.2f}x std::to_chars's time > 1.4x — the SWAR "
+                    f"conversion kernels regressed")
         if series.startswith("Textconv/ReactorZeroCopy/"):
             copied = c.get("write_copied_bytes", -1)
             if copied != 0:

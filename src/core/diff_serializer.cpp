@@ -355,7 +355,7 @@ bool parallel_segment(MessageTemplate& tmpl, const ArraySegment& seg,
   const BulkUpdateConfig& cfg = tmpl.config().bulk;
   // An armed recovery journal records fields single-threaded; the serial
   // paths run instead while one is attached.
-  if (!cfg.parallel || tmpl.journal() != nullptr ||
+  if (tmpl.journal() != nullptr ||
       seg.leaf_count() < cfg.parallel_min_leaves ||
       !guaranteed_fit(tmpl, seg)) {
     return false;

@@ -222,46 +222,15 @@ void MessageTemplate::expand_by_shifting(std::size_t idx,
   dut_[idx].field_width = new_width;
 }
 
-void MessageTemplate::RunWriter::rewrite(std::size_t idx, const char* text,
-                                         std::uint32_t len) {
+void MessageTemplate::RunWriter::rewrite_padded(std::size_t idx,
+                                                const char* text,
+                                                std::uint32_t len) {
   DutEntry& e = tmpl_.dut()[idx];
   if (len > e.field_width) {
     // Expansion: the full steal/shift/split machinery, which may renumber
     // positions, realloc a chunk, or split chunks. Parallel callers prove
     // fit up front, so this only runs with the template's own stats block
     // (single-threaded).
-    BSOAP_ASSERT(&stats_ == &tmpl_.stats());
-    tmpl_.rewrite_value(idx, text, len);
-    return;
-  }
-  if (UpdateJournal* journal = tmpl_.journal()) {
-    journal->record_field(tmpl_, idx);
-  }
-  const buffer::ChunkedBuffer::Edit edit(tmpl_.buffer(), e.pos,
-                                         e.field_width + e.close_tag_len);
-  char* p = edit.data();
-  ++stats_.value_rewrites;
-  if (len == e.serialized_len) {
-    std::memcpy(p, text, len);
-    stats_.bytes_rewritten += len;
-    return;
-  }
-  char tag[kMaxCloseTag];
-  BSOAP_ASSERT(e.close_tag_len <= kMaxCloseTag);
-  std::memcpy(tag, p + e.serialized_len, e.close_tag_len);
-  std::memcpy(p, text, len);
-  std::memcpy(p + len, tag, e.close_tag_len);
-  std::memset(p + len + e.close_tag_len, ' ', e.field_width - len);
-  ++stats_.tag_shifts;
-  stats_.bytes_rewritten += e.field_width + e.close_tag_len;
-  e.serialized_len = len;
-}
-
-void MessageTemplate::RunWriter::rewrite_padded(std::size_t idx,
-                                                const char* text,
-                                                std::uint32_t len) {
-  DutEntry& e = tmpl_.dut()[idx];
-  if (len > e.field_width) {
     BSOAP_ASSERT(&stats_ == &tmpl_.stats());
     tmpl_.rewrite_value(idx, text, len);
     return;
@@ -333,27 +302,15 @@ void MessageTemplate::RunWriter::rewrite_convert(std::size_t idx,
 }
 
 void MessageTemplate::RunWriter::rewrite_double(std::size_t idx, double v) {
-  if (textconv::textconv_vectorized()) {
-    rewrite_convert(idx, textconv::kMaxDoubleChars, [v](char* out) {
-      return static_cast<std::uint32_t>(textconv::write_double(out, v));
-    });
-    return;
-  }
-  char text[textconv::kMaxDoubleChars];
-  const int len = textconv::write_double(text, v);
-  rewrite(idx, text, static_cast<std::uint32_t>(len));
+  rewrite_convert(idx, textconv::kMaxDoubleChars, [v](char* out) {
+    return static_cast<std::uint32_t>(textconv::write_double(out, v));
+  });
 }
 
 void MessageTemplate::RunWriter::rewrite_i32(std::size_t idx, std::int32_t v) {
-  if (textconv::textconv_vectorized()) {
-    rewrite_convert(idx, textconv::kMaxInt32Chars, [v](char* out) {
-      return static_cast<std::uint32_t>(textconv::write_i32(out, v));
-    });
-    return;
-  }
-  char text[textconv::kMaxInt32Chars];
-  const int len = textconv::write_i32(text, v);
-  rewrite(idx, text, static_cast<std::uint32_t>(len));
+  rewrite_convert(idx, textconv::kMaxInt32Chars, [v](char* out) {
+    return static_cast<std::uint32_t>(textconv::write_i32(out, v));
+  });
 }
 
 bool MessageTemplate::check_invariants() const {

@@ -63,10 +63,9 @@ struct BulkUpdateConfig {
   std::uint32_t min_elements = 16;
   /// Segments update on the shared worker pool when they span multiple
   /// chunks, every field provably fits its width (no expansion possible),
-  /// and the segment has at least this many leaves.
+  /// and the segment has at least this many leaves. SIZE_MAX keeps every
+  /// segment on the serial path.
   std::size_t parallel_min_leaves = 1 << 16;
-  /// Master switch for the parallel segment update (serial bulk otherwise).
-  bool parallel = true;
 };
 
 struct TemplateConfig {
@@ -218,25 +217,21 @@ class MessageTemplate {
     RunWriter(MessageTemplate& tmpl, TemplateStats& stats)
         : tmpl_(tmpl), stats_(stats) {}
 
-    void rewrite(std::size_t idx, const char* text, std::uint32_t len);
-
-    /// Typed variants: convert `v` to text and rewrite entry `idx`. On the
-    /// vectorized textconv tier the value copy, the shifted closing tag and
-    /// the whitespace pad are all written with wide exact stores (no
-    /// per-field libc memcpy/memset); on the scalar tier bytes and counters
-    /// match write_* into scratch + rewrite() exactly.
+    /// Convert `v` to text and rewrite entry `idx`. The value copy, the
+    /// shifted closing tag and the whitespace pad are all written with
+    /// wide exact stores (no per-field libc memcpy/memset).
     void rewrite_double(std::size_t idx, double v);
     void rewrite_i32(std::size_t idx, std::int32_t v);
 
    private:
-    /// rewrite() for conversion scratch that is readable 8 bytes past
-    /// `len` (wide copies may over-read, never over-write).
+    /// Rewrites entry `idx` from conversion scratch that is readable 8
+    /// bytes past `len` (wide copies may over-read, never over-write).
     void rewrite_padded(std::size_t idx, const char* text, std::uint32_t len);
 
-    /// Vectorized-tier body of the typed rewrites: when the field is
-    /// stuffed to at least `max_chars` (every value fits), `conv` writes
-    /// the value text straight into the template buffer; otherwise it
-    /// converts into scratch and the generic path runs.
+    /// Body of the typed rewrites: when the field is stuffed to at least
+    /// `max_chars` (every value fits), `conv` writes the value text
+    /// straight into the template buffer; otherwise it converts into
+    /// scratch and rewrite_padded runs.
     template <typename Convert>
     void rewrite_convert(std::size_t idx, std::uint32_t max_chars,
                          Convert conv);

@@ -3,13 +3,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
-#if defined(__linux__)
-#include <linux/errqueue.h>
-#endif
 
 #include <cerrno>
 #include <cstdlib>
@@ -192,109 +188,6 @@ Result<IoResult> writev_nonblocking(int fd,
     }
   }
   return IoResult{total, false};
-}
-
-bool arm_zerocopy(int fd) noexcept {
-#if defined(SO_ZEROCOPY)
-  const int one = 1;
-  return ::setsockopt(fd, SOL_SOCKET, SO_ZEROCOPY, &one, sizeof(one)) == 0;
-#else
-  (void)fd;
-  return false;
-#endif
-}
-
-Result<bool> writev_all_zerocopy(int fd, std::span<const ConstSlice> slices) {
-#if defined(MSG_ZEROCOPY) && defined(SO_EE_ORIGIN_ZEROCOPY)
-  std::vector<iovec> iov;
-  iov.reserve(slices.size());
-  for (const ConstSlice& s : slices) {
-    if (s.len == 0) continue;
-    iov.push_back(iovec{const_cast<char*>(s.data), s.len});
-  }
-  std::size_t index = 0;
-  std::uint32_t zc_sends = 0;  // completions the error queue owes us
-  bool zerocopy = true;
-  while (index < iov.size()) {
-    constexpr std::size_t kMaxIov = 64;
-    const std::size_t batch = std::min(iov.size() - index, kMaxIov);
-    msghdr msg{};
-    msg.msg_iov = iov.data() + index;
-    msg.msg_iovlen = batch;
-    const ssize_t written = ::sendmsg(fd, &msg, zerocopy ? MSG_ZEROCOPY : 0);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      if (zerocopy &&
-          (errno == EOPNOTSUPP || errno == ENOBUFS || errno == EINVAL)) {
-        // The path is unusable. Before any bytes left: tell the caller to
-        // use the plain writev path. Mid-stream (optmem exhausted): finish
-        // this message with copying sends — the wire cannot tell.
-        if (zc_sends == 0 && index == 0) return false;
-        zerocopy = false;
-        continue;
-      }
-      return errno_error("sendmsg");
-    }
-    if (zerocopy && written > 0) ++zc_sends;
-    std::size_t remaining = static_cast<std::size_t>(written);
-    while (remaining > 0 && index < iov.size()) {
-      if (remaining >= iov[index].iov_len) {
-        remaining -= iov[index].iov_len;
-        ++index;
-      } else {
-        iov[index].iov_base =
-            static_cast<char*>(iov[index].iov_base) + remaining;
-        iov[index].iov_len -= remaining;
-        remaining = 0;
-      }
-    }
-  }
-  // Reap every completion notification before returning: each MSG_ZEROCOPY
-  // sendmsg pins the caller's pages until the kernel posts its sequence
-  // number (ranges [ee_info, ee_data]) on the error queue. Callers reuse
-  // and mutate these buffers (message templates!) the moment we return, so
-  // returning with outstanding references would hand the peer torn bytes.
-  std::uint32_t reaped = 0;
-  int stalls = 0;  // poll timeouts + wakeups that carried no completion
-  while (reaped < zc_sends) {
-    char control[512];
-    msghdr msg{};
-    msg.msg_control = control;
-    msg.msg_controllen = sizeof(control);
-    const ssize_t got = ::recvmsg(fd, &msg, MSG_ERRQUEUE | MSG_DONTWAIT);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (++stalls >= 500) {
-          return Error{ErrorCode::kIoError,
-                       "MSG_ZEROCOPY completion reap stalled"};
-        }
-        pollfd pfd{fd, 0, 0};  // errqueue readiness is POLLERR, always polled
-        const int r = ::poll(&pfd, 1, 10);
-        if (r < 0 && errno != EINTR) return errno_error("poll(errqueue)");
-        continue;
-      }
-      return errno_error("recvmsg(MSG_ERRQUEUE)");
-    }
-    for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr;
-         cm = CMSG_NXTHDR(&msg, cm)) {
-      if (!((cm->cmsg_level == SOL_IP && cm->cmsg_type == IP_RECVERR) ||
-            (cm->cmsg_level == SOL_IPV6 && cm->cmsg_type == IPV6_RECVERR))) {
-        continue;
-      }
-      sock_extended_err err;
-      std::memcpy(&err, CMSG_DATA(cm), sizeof(err));
-      if (err.ee_origin != SO_EE_ORIGIN_ZEROCOPY) continue;
-      reaped += err.ee_data - err.ee_info + 1;  // completions coalesce
-      stalls = 0;
-    }
-  }
-  return true;
-#else
-  (void)fd;
-  (void)slices;
-  return false;
-#endif
 }
 
 Result<std::size_t> read_some(int fd, char* out, std::size_t n) {

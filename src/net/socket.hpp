@@ -98,24 +98,6 @@ Status writev_all(int fd, std::span<const ConstSlice> slices);
 /// slice-preserving counterpart of write_nonblocking.
 Result<IoResult> writev_nonblocking(int fd, std::span<const ConstSlice> slices);
 
-/// Arms SO_ZEROCOPY on the socket. Returns false where the kernel or the
-/// address family does not support it (AF_UNIX, pre-4.14 kernels) — the
-/// caller then keeps using the copying writev path.
-bool arm_zerocopy(int fd) noexcept;
-
-/// Blocking scatter-gather write using sendmsg(MSG_ZEROCOPY): the kernel
-/// pins the caller's pages instead of copying them into the socket buffer.
-/// Every completion notification the sends generate is reaped from the
-/// error queue BEFORE returning, so on return the kernel holds no
-/// reference to the pages and the caller may mutate them immediately —
-/// exactly writev_all's contract, just without the copy.
-///
-/// Returns false (with nothing written) when the first send reports the
-/// path unusable (EOPNOTSUPP / ENOBUFS): the caller falls back to
-/// writev_all. A mid-stream ENOBUFS downgrades the remainder to regular
-/// sends internally; the call still completes the full write.
-Result<bool> writev_all_zerocopy(int fd, std::span<const ConstSlice> slices);
-
 /// Blocking read; returns 0 at end of stream.
 Result<std::size_t> read_some(int fd, char* out, std::size_t n);
 

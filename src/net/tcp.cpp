@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 namespace bsoap::net {
@@ -15,19 +14,6 @@ namespace {
 Error errno_error(const char* what) {
   return Error{ErrorCode::kIoError,
                std::string(what) + ": " + std::strerror(errno)};
-}
-
-/// Opt-in MSG_ZEROCOPY for large sends on every TCP transport this module
-/// creates (BSOAP_ZEROCOPY=1). Off by default: zerocopy only pays off past
-/// kZeroCopyMinBytes and pins pages the caller must not need early.
-std::unique_ptr<Transport> finish_tcp_transport(Fd fd) {
-  static const bool want_zerocopy = [] {
-    const char* env = std::getenv("BSOAP_ZEROCOPY");
-    return env != nullptr && env[0] == '1';
-  }();
-  auto transport = std::make_unique<SocketTransport>(std::move(fd));
-  if (want_zerocopy) (void)transport->enable_zerocopy();
-  return transport;
 }
 
 }  // namespace
@@ -64,7 +50,7 @@ Result<std::unique_ptr<Transport>> TcpListener::accept() {
     }
     Fd cfd(client);
     BSOAP_RETURN_IF_ERROR(apply_paper_socket_options(cfd.get()));
-    return finish_tcp_transport(std::move(cfd));
+    return {std::make_unique<SocketTransport>(std::move(cfd))};
   }
 }
 
@@ -80,7 +66,7 @@ Result<std::unique_ptr<Transport>> TcpListener::try_accept() {
     }
     Fd cfd(client);
     BSOAP_RETURN_IF_ERROR(apply_paper_socket_options(cfd.get()));
-    return finish_tcp_transport(std::move(cfd));
+    return {std::make_unique<SocketTransport>(std::move(cfd))};
   }
 }
 
@@ -99,7 +85,7 @@ Result<std::unique_ptr<Transport>> tcp_connect(std::uint16_t port) {
     return errno_error("connect");
   }
   BSOAP_RETURN_IF_ERROR(apply_paper_socket_options(fd.get()));
-  return finish_tcp_transport(std::move(fd));
+  return {std::make_unique<SocketTransport>(std::move(fd))};
 }
 
 }  // namespace bsoap::net

@@ -80,12 +80,9 @@ class Transport {
   Status send(std::string_view text) { return send(text.data(), text.size()); }
 };
 
-/// MSG_ZEROCOPY pays page-pinning setup per send; below this size the
-/// copy through the socket buffer is cheaper than the pin + completion
-/// round-trip (kernel guidance says ~10 KB; we round up a little).
-inline constexpr std::size_t kZeroCopyMinBytes = 16 * 1024;
-
-/// Transport backed by a connected socket (TCP or Unix).
+/// Transport backed by a connected socket (TCP or Unix). Every write copies
+/// through the socket buffer: send_slices is one blocking gathered writev,
+/// so the caller may mutate the slices' bytes as soon as it returns.
 class SocketTransport final : public Transport {
  public:
   using Transport::send;
@@ -95,16 +92,6 @@ class SocketTransport final : public Transport {
     return write_all(fd_.get(), data, n);
   }
   Status send_slices(std::span<const ConstSlice> slices) override {
-    if (zerocopy_) {
-      std::size_t total = 0;
-      for (const ConstSlice& s : slices) total += s.len;
-      if (total >= kZeroCopyMinBytes) {
-        Result<bool> zc = writev_all_zerocopy(fd_.get(), slices);
-        if (!zc.ok()) return zc.error();
-        if (zc.value()) return Status{};
-        zerocopy_ = false;  // kernel refused outright: stop asking
-      }
-    }
     return writev_all(fd_.get(), slices);
   }
   Result<std::size_t> recv(char* out, std::size_t n) override {
@@ -129,19 +116,8 @@ class SocketTransport final : public Transport {
 
   int fd() const { return fd_.get(); }
 
-  /// Opts large send_slices() calls (>= kZeroCopyMinBytes) into
-  /// MSG_ZEROCOPY. No-op where the socket does not support it; a kernel
-  /// that later refuses the flag demotes the transport back to the
-  /// copying path silently. Returns whether zerocopy is now armed.
-  bool enable_zerocopy() {
-    zerocopy_ = arm_zerocopy(fd_.get());
-    return zerocopy_;
-  }
-  bool zerocopy_enabled() const { return zerocopy_; }
-
  private:
   Fd fd_;
-  bool zerocopy_ = false;
 };
 
 /// Creates a connected AF_UNIX socketpair with the paper's socket options.

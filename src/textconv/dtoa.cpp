@@ -33,30 +33,18 @@ DiyFp diyfp_from_double(double value) {
                static_cast<int>(raw_exponent) - kExponentBias};
 }
 
-DiyFp normalize_scalar(DiyFp v) {
-  while ((v.f & (1ull << 63)) == 0) {
-    v.f <<= 1;
-    --v.e;
-  }
-  return v;
-}
-
 // Branchless normalize: one countl_zero instead of up to 11 shift-test
-// iterations (subnormals shift furthest). Same result for every nonzero f.
-DiyFp normalize_fast(DiyFp v) {
+// iterations (subnormals shift furthest). f must be nonzero.
+DiyFp normalize(DiyFp v) {
   const int shift = std::countl_zero(v.f);
   return DiyFp{v.f << shift, v.e - shift};
 }
 
-DiyFp normalize(DiyFp v, bool fast) {
-  return fast ? normalize_fast(v) : normalize_scalar(v);
-}
-
 /// Computes the normalized boundaries m- and m+ of the rounding interval
 /// around `v`: every real in (m-, m+) rounds to this double.
-void normalized_boundaries(DiyFp v, DiyFp* minus, DiyFp* plus, bool fast) {
+void normalized_boundaries(DiyFp v, DiyFp* minus, DiyFp* plus) {
   DiyFp pl{(v.f << 1) + 1, v.e - 1};
-  pl = normalize(pl, fast);
+  pl = normalize(pl);
   DiyFp mi;
   if (v.f == kHiddenBit && v.e != 1 - kExponentBias) {
     // Lower neighbour is in the next binade: the interval is asymmetric.
@@ -83,13 +71,16 @@ void grisu_round(char* buffer, int len, std::uint64_t delta,
   }
 }
 
-void digit_gen_scalar(DiyFp w, DiyFp mp, std::uint64_t delta,
-                      DecimalDigits* out) {
+/// Loitsch's digit loop: one divide per integral digit, with the exit test
+/// after each. digit_gen_fast's fallback for the intervals its shortcut
+/// cannot prove.
+void digit_gen_general(DiyFp w, DiyFp mp, std::uint64_t delta,
+                       DecimalDigits* out) {
   const DiyFp one{1ull << -mp.e, mp.e};
   const std::uint64_t wp_w = mp.sub(w).f;
   std::uint32_t p1 = static_cast<std::uint32_t>(mp.f >> -one.e);
   std::uint64_t p2 = mp.f & (one.f - 1);
-  int kappa = scalar::decimal_digits_u32(p1);
+  int kappa = swar::digits_u32(p1);
   int len = 0;
 
   while (kappa > 0) {
@@ -125,7 +116,7 @@ void digit_gen_scalar(DiyFp w, DiyFp mp, std::uint64_t delta,
   }
 }
 
-// The scalar integral loop above runs a serial chain of ~5 hardware divides
+// The general integral loop above runs a serial chain of ~5 hardware divides
 // by RUNTIME powers of ten (the compiler cannot strength-reduce a variable
 // divisor), plus an early-exit test per digit — the single hottest sequence
 // in PSM double updates. The exit test is rest <= delta with
@@ -138,9 +129,8 @@ void digit_gen_scalar(DiyFp w, DiyFp mp, std::uint64_t delta,
 // Under those two conditions NO integral-loop exit can ever fire and the
 // whole divide/check chain is exactly "emit the digits of p1": one SWAR
 // ascii conversion. The remaining cases (subnormal-wide intervals,
-// trailing-zero significands with tiny p2) fall back to the reference loop,
-// so the output is byte-identical by construction; the differential tests
-// in tests/test_textconv.cpp hold it to that.
+// trailing-zero significands with tiny p2) fall back to the general loop,
+// so the output is byte-identical by construction.
 void digit_gen_fast(DiyFp w, DiyFp mp, std::uint64_t delta,
                     DecimalDigits* out) {
   const DiyFp one{1ull << -mp.e, mp.e};
@@ -149,7 +139,7 @@ void digit_gen_fast(DiyFp w, DiyFp mp, std::uint64_t delta,
   std::uint64_t p2 = mp.f & (one.f - 1);
 
   if (delta >= one.f || p2 <= delta) {
-    digit_gen_scalar(w, mp, delta, out);
+    digit_gen_general(w, mp, delta, out);
     return;
   }
 
@@ -171,8 +161,8 @@ void digit_gen_fast(DiyFp w, DiyFp mp, std::uint64_t delta,
 
   // Fractional digits: the recurrence is already multiply-only (x10 per
   // digit; x100 pairing would overflow — p2 < 2^60 gives no headroom proof
-  // for delta*100), and its exit test must run per digit, so it is shared
-  // with the scalar loop. (A batch-parallel form computing digit m straight
+  // for delta*100), and its exit test must run per digit, so it is the
+  // same loop as digit_gen_general's. (A batch-parallel form computing digit m straight
   // from p2 * 10^m mod 2^s was measured no faster: out-of-order execution
   // already hides the 4-cycle serial chain under the stores and checks.)
   int kappa = 0;
@@ -194,12 +184,11 @@ void digit_gen_fast(DiyFp w, DiyFp mp, std::uint64_t delta,
 }
 
 // The q estimate below costs a serial int->double convert, double divide
-// and double->int convert per conversion, followed by up to three guarded
-// cached_pow10 lookups — and its inputs depend ONLY on w_plus.e, which for
-// normalized boundaries spans a small fixed range. The fast tier replaces
-// the whole sequence with one table lookup whose entries are precomputed by
-// running the EXACT scalar estimate + correction loops per exponent, so the
-// chosen power (and therefore every output byte) cannot diverge.
+// and double->int convert, followed by up to three guarded cached_pow10
+// lookups — and its inputs depend ONLY on w_plus.e, which for normalized
+// boundaries spans a small fixed range. So the estimate + correction loops
+// run once per exponent to fill a table, and each conversion does one
+// lookup.
 constexpr int kScaleMinE = -1140;  // subnormal boundaries bottom out at -1137
 constexpr int kScaleMaxE = 965;    // DBL_MAX boundaries top out at 960
 struct ScaledPow10 {
@@ -231,52 +220,14 @@ const ScaledPow10* scale_table() {
   return table->data();
 }
 
-void grisu2_impl(double value, DecimalDigits* out, bool fast) {
-  BSOAP_ASSERT(value > 0.0);
-  const DiyFp v = diyfp_from_double(value);
-  DiyFp w_minus, w_plus;
-  normalized_boundaries(v, &w_minus, &w_plus, fast);
-  const DiyFp w = normalize(v, fast);
-
-  int q;
-  DiyFp c;
-  if (fast) {
-    BSOAP_ASSERT(w_plus.e >= kScaleMinE && w_plus.e <= kScaleMaxE);
-    const ScaledPow10& s = scale_table()[w_plus.e - kScaleMinE];
-    c = DiyFp{s.f, s.e};
-    q = s.q;
-  } else {
-    q = estimate_q(w_plus.e);
-    c = cached_pow10(q);
-    while (w_plus.e + c.e + 64 < kAlpha) c = cached_pow10(++q);
-    while (w_plus.e + c.e + 64 > kGamma) c = cached_pow10(--q);
-  }
-
-  const DiyFp W = w.mul(c);
-  DiyFp Wp = w_plus.mul(c);
-  DiyFp Wm = w_minus.mul(c);
-  // Shrink the interval by one unit on each side to absorb the (<1 ulp)
-  // error introduced by the cached power multiplication.
-  ++Wm.f;
-  --Wp.f;
-
-  out->k = -q;
-  out->length = 0;
-  if (fast) {
-    digit_gen_fast(W, Wp, Wp.f - Wm.f, out);
-  } else {
-    digit_gen_scalar(W, Wp, Wp.f - Wm.f, out);
-  }
-}
-
 // `padded` says digits points into a DecimalDigits buffer (8-byte reads
-// past the digit count are in-bounds), letting the fast tier replace the
-// variable-length memcpy calls with inline wide copies. The public
+// past the digit count are in-bounds), letting the digit copies run as
+// inline wide copies instead of variable-length memcpy calls. The public
 // format_decimal takes arbitrary caller buffers and must pass false.
 int format_decimal_impl(char* out, const char* digits, int length, int k,
-                        bool fast, bool padded) {
+                        bool padded) {
   const auto copy = [&](char* dst, const char* src, int n) {
-    if (fast && padded) {
+    if (padded) {
       swar::copy_digits(dst, src, static_cast<unsigned>(n));
     } else {
       std::memcpy(dst, src, static_cast<std::size_t>(n));
@@ -289,14 +240,10 @@ int format_decimal_impl(char* out, const char* digits, int length, int k,
     // 1234000 — digits followed by trailing zeros.
     copy(p, digits, length);
     p += length;
-    if (fast) {
-      // Wide zero fill; exact-length stores (a variable-length memset here
-      // costs a libc call at every site).
-      swar::fill_zeros(p, static_cast<unsigned>(point - length));  // <= 16
-      p += point - length;
-    } else {
-      for (int i = length; i < point; ++i) *p++ = '0';
-    }
+    // Wide zero fill; exact-length stores (a variable-length memset here
+    // costs a libc call at every site).
+    swar::fill_zeros(p, static_cast<unsigned>(point - length));  // <= 16
+    p += point - length;
   } else if (0 < point && point < length) {
     // 12.34 — decimal point inside the digit string.
     copy(p, digits, point);
@@ -308,12 +255,8 @@ int format_decimal_impl(char* out, const char* digits, int length, int k,
     // 0.0001234 — leading zeros after the decimal point.
     *p++ = '0';
     *p++ = '.';
-    if (fast) {
-      swar::fill_zeros(p, static_cast<unsigned>(-point));  // <= 3 bytes
-      p += -point;
-    } else {
-      for (int i = 0; i < -point; ++i) *p++ = '0';
-    }
+    swar::fill_zeros(p, static_cast<unsigned>(-point));  // <= 3 bytes
+    p += -point;
     copy(p, digits, length);
     p += length;
   } else {
@@ -327,14 +270,44 @@ int format_decimal_impl(char* out, const char* digits, int length, int k,
     *p++ = 'e';
     // The exponent write lands at out + 20 in the worst case
     // ("-2.2250738585072014e" + up to 4 chars = exactly kMaxDoubleChars):
-    // both write_i32 tiers store exactly their returned length, so this
-    // never touches byte 24.
-    p += fast ? write_i32(p, point - 1) : scalar::write_i32(p, point - 1);
+    // write_i32 stores exactly its returned length, so this never touches
+    // byte 24.
+    p += write_i32(p, point - 1);
   }
   return static_cast<int>(p - out);
 }
 
-int write_double_impl(char* out, double value, bool fast) {
+}  // namespace
+
+void grisu2(double value, DecimalDigits* out) noexcept {
+  BSOAP_ASSERT(value > 0.0);
+  const DiyFp v = diyfp_from_double(value);
+  DiyFp w_minus, w_plus;
+  normalized_boundaries(v, &w_minus, &w_plus);
+  const DiyFp w = normalize(v);
+
+  BSOAP_ASSERT(w_plus.e >= kScaleMinE && w_plus.e <= kScaleMaxE);
+  const ScaledPow10& s = scale_table()[w_plus.e - kScaleMinE];
+  const DiyFp c{s.f, s.e};
+
+  const DiyFp W = w.mul(c);
+  DiyFp Wp = w_plus.mul(c);
+  DiyFp Wm = w_minus.mul(c);
+  // Shrink the interval by one unit on each side to absorb the (<1 ulp)
+  // error introduced by the cached power multiplication.
+  ++Wm.f;
+  --Wp.f;
+
+  out->k = -s.q;
+  out->length = 0;
+  digit_gen_fast(W, Wp, Wp.f - Wm.f, out);
+}
+
+int format_decimal(char* out, const char* digits, int length, int k) noexcept {
+  return format_decimal_impl(out, digits, length, k, /*padded=*/false);
+}
+
+int write_double(char* out, double value) noexcept {
   std::uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
   const bool negative = (bits >> 63) != 0;
@@ -361,49 +334,17 @@ int write_double_impl(char* out, double value, bool fast) {
   double magnitude = value;
   if (negative) magnitude = -magnitude;
   DecimalDigits dec;
-  grisu2_impl(magnitude, &dec, fast);
-  p += format_decimal_impl(p, dec.digits, dec.length, dec.k, fast,
+  grisu2(magnitude, &dec);
+  p += format_decimal_impl(p, dec.digits, dec.length, dec.k,
                            /*padded=*/true);
   const int total = static_cast<int>(p - out);
   BSOAP_ASSERT(total <= kMaxDoubleChars);
   return total;
 }
 
-}  // namespace
-
-void grisu2(double value, DecimalDigits* out) noexcept {
-  grisu2_impl(value, out, textconv_vectorized());
-}
-
-int format_decimal(char* out, const char* digits, int length, int k) noexcept {
-  return format_decimal_impl(out, digits, length, k, textconv_vectorized(),
-                             /*padded=*/false);
-}
-
-int write_double(char* out, double value) noexcept {
-  return write_double_impl(out, value, textconv_vectorized());
-}
-
 int serialized_length_double(double value) noexcept {
   char scratch[kMaxDoubleChars];
   return write_double(scratch, value);
 }
-
-namespace scalar {
-
-void grisu2(double value, DecimalDigits* out) noexcept {
-  grisu2_impl(value, out, false);
-}
-
-int format_decimal(char* out, const char* digits, int length, int k) noexcept {
-  return format_decimal_impl(out, digits, length, k, false,
-                             /*padded=*/false);
-}
-
-int write_double(char* out, double value) noexcept {
-  return write_double_impl(out, value, false);
-}
-
-}  // namespace scalar
 
 }  // namespace bsoap::textconv

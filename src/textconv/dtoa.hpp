@@ -9,6 +9,11 @@
 // at most kMaxDoubleChars (24) characters.
 //
 // Special values use the XML Schema lexical forms: "INF", "-INF", "NaN".
+//
+// The digit loop and formatter run on the SWAR kernels of swar.hpp. The
+// tests hold the output to the standard library: every value round-trips
+// bit-exactly through parse_double (std::from_chars), and a digest of a
+// seeded sweep pins the bytes themselves.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +24,8 @@ namespace bsoap::textconv {
 
 /// Decimal significand/exponent pair: value ~= digits * 10^k where `digits`
 /// is the integer formed by digits[0..length). Grisu emits at most 20
-/// digits; the buffer is padded to 28 so the vectorized formatter may read
-/// (never write) full 8-byte words from any digit offset.
+/// digits; the buffer is padded to 28 so the formatter may read (never
+/// write) full 8-byte words from any digit offset.
 struct DecimalDigits {
   char digits[28];
   int length = 0;
@@ -44,15 +49,5 @@ int write_double(char* out, double value) noexcept;
 
 /// Length write_double would produce (writes into scratch storage).
 int serialized_length_double(double value) noexcept;
-
-/// The pre-vectorization scalar path (runtime-divisor digit loop, byte-wise
-/// zero fills), kept callable as the differential-test reference and the
-/// BSOAP_FORCE_SCALAR_TEXTCONV kill-switch target. Identical bytes to the
-/// top-level functions on every input.
-namespace scalar {
-void grisu2(double value, DecimalDigits* out) noexcept;
-int format_decimal(char* out, const char* digits, int length, int k) noexcept;
-int write_double(char* out, double value) noexcept;
-}  // namespace scalar
 
 }  // namespace bsoap::textconv

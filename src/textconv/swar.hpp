@@ -1,10 +1,9 @@
-// SWAR / SIMD kernels for number -> ASCII conversion, plus the runtime
-// dispatch tier that selects between them and the scalar reference code.
+// SWAR kernels for number -> ASCII conversion.
 //
 // The serialization hot path (RunWriter::rewrite_value and the bulk-update
 // fused scan+rewrite) spends its time converting int/double values to text.
-// The scalar code pays one hardware divide per digit pair and a compare
-// chain per width query; the kernels here replace both:
+// A digit-pair table loop pays one hardware divide per digit pair and a
+// compare chain per width query; the kernels here replace both:
 //
 //   * digits_u32 / digits_u64 — branchless decimal width: integer log2 via
 //     countl_zero, a *1233>>12 log10 estimate, and one table compare
@@ -18,61 +17,20 @@
 //     out + length, so no byte past the returned length is ever touched
 //     and the existing "buffer holds kMax*Chars" contract is unchanged.
 //
-// Dispatch tiers (runtime):
-//   kScalar — the pre-existing scalar code, kept verbatim under
-//             textconv::scalar:: as the differential-test reference and the
-//             BSOAP_FORCE_SCALAR_TEXTCONV kill-switch target;
-//   kSwar   — portable 64-bit SWAR (any architecture).
+// The tests hold these kernels to the standard library: integers
+// byte-equal to std::to_chars, doubles round-tripping bit-exactly through
+// parse_double.
 // Wider SIMD stores were evaluated and intentionally NOT kept: every bounded
 // SOAP field is at most kMaxDoubleChars (24) wide, so 32-byte AVX2 lanes
 // never fill, and a 16-byte SSE2 store only ever replaced two 8-byte stores
 // for u64 values >= 10^16, which double formatting never produces.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 
 namespace bsoap::textconv {
-
-/// Which conversion implementation the process is using; see the file
-/// comment.
-enum class TextconvTier : std::uint8_t { kScalar = 0, kSwar = 1 };
-
-namespace detail {
-/// Active tier + 1; 0 means "not yet initialized". Constant-initialized so
-/// the hot-path query below is a single relaxed load with no static guard.
-extern std::atomic<std::uint8_t> g_textconv_tier_plus1;
-/// Reads BSOAP_FORCE_SCALAR_TEXTCONV / detects the CPU, stores, returns.
-TextconvTier init_textconv_tier() noexcept;
-}  // namespace detail
-
-/// The active tier: CPU detection, overridden to kScalar when the
-/// BSOAP_FORCE_SCALAR_TEXTCONV environment variable is set (non-empty,
-/// not "0"), overridden again by set_textconv_tier(). Cheap enough to
-/// query per conversion (one relaxed atomic load).
-inline TextconvTier textconv_tier() noexcept {
-  const std::uint8_t t =
-      detail::g_textconv_tier_plus1.load(std::memory_order_relaxed);
-  if (t != 0) [[likely]] {
-    return static_cast<TextconvTier>(t - 1);
-  }
-  return detail::init_textconv_tier();
-}
-
-/// Runtime override, e.g. for benches that A/B scalar vs vectorized paths
-/// inside one process. Takes effect for subsequent conversions on any
-/// thread; output bytes are identical across tiers, so flipping mid-stream
-/// is safe.
-void set_textconv_tier(TextconvTier tier) noexcept;
-
-/// What the CPU supports, ignoring the environment and any override.
-TextconvTier detect_textconv_tier() noexcept;
-
-inline bool textconv_vectorized() noexcept {
-  return textconv_tier() != TextconvTier::kScalar;
-}
 
 namespace swar {
 

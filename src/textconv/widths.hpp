@@ -28,8 +28,8 @@ inline constexpr int kMinInt32Chars = 1;  // "0"
 
 /// Serialized width (sign + digits) of an integer value — the quantity the
 /// stuffing policy and segment-fit checks compare against the kMax*Chars
-/// bounds above. Branchless (see swar.hpp); tier-independent, since every
-/// tier produces identical bytes.
+/// bounds above. Branchless (see swar.hpp), and equal to the length
+/// write_* produces.
 inline int value_width_u32(std::uint32_t v) noexcept {
   return swar::digits_u32(v);
 }

@@ -30,7 +30,8 @@ TemplateConfig bulk_config() {
   TemplateConfig config;
   config.stuffing.mode = StuffingPolicy::Mode::kExact;
   config.bulk.enable = true;
-  config.bulk.parallel = false;
+  // Serial bulk: no segment reaches the worker pool.
+  config.bulk.parallel_min_leaves = std::numeric_limits<std::size_t>::max();
   return config;
 }
 
@@ -239,10 +240,9 @@ TEST(BulkEquivalence, ParallelSegmentUpdateMatchesSerial) {
   parallel_cfg.stuffing.mode = StuffingPolicy::Mode::kTypeMax;
   parallel_cfg.chunk.chunk_size = 4 * 1024;
   parallel_cfg.chunk.split_threshold = 8 * 1024;
-  parallel_cfg.bulk.parallel = true;
   parallel_cfg.bulk.parallel_min_leaves = 64;
   TemplateConfig serial_cfg = parallel_cfg;
-  serial_cfg.bulk.parallel = false;
+  serial_cfg.bulk.parallel_min_leaves = std::numeric_limits<std::size_t>::max();
   TemplateConfig plain_cfg = parallel_cfg;
   plain_cfg.bulk.enable = false;
 
@@ -276,7 +276,6 @@ TEST(BulkEquivalence, ParallelDirtyModeMatchesSerial) {
   parallel_cfg.stuffing.mode = StuffingPolicy::Mode::kTypeMax;
   parallel_cfg.chunk.chunk_size = 4 * 1024;
   parallel_cfg.chunk.split_threshold = 8 * 1024;
-  parallel_cfg.bulk.parallel = true;
   parallel_cfg.bulk.parallel_min_leaves = 64;
   TemplateConfig plain_cfg = parallel_cfg;
   plain_cfg.bulk.enable = false;
@@ -311,7 +310,6 @@ TEST(BulkEquivalence, ParallelUpdateKeepsMaterializedRootExact) {
   cfg.stuffing.mode = StuffingPolicy::Mode::kTypeMax;
   cfg.chunk.chunk_size = 4 * 1024;
   cfg.chunk.split_threshold = 8 * 1024;
-  cfg.bulk.parallel = true;
   cfg.bulk.parallel_min_leaves = 64;
   ASSERT_GE(n, cfg.bulk.parallel_min_leaves);
 

@@ -2,7 +2,6 @@
 // server, and the simulated-bandwidth wrapper.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,85 +136,6 @@ TEST(SimulatedWire, AddsProportionalDelay) {
   reader.join();
   EXPECT_GE(elapsed, 9.0);
   EXPECT_LT(elapsed, 100.0);
-}
-
-TEST(Zerocopy, UnixSocketpairFallsBackToPlainWritev) {
-  // AF_UNIX sockets reject SO_ZEROCOPY (EOPNOTSUPP): arming must fail
-  // cleanly and leave the transport on the ordinary writev path, with a
-  // large gathered send still arriving byte-exact.
-  auto pair = make_socketpair_transports();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
-  auto* sock = dynamic_cast<SocketTransport*>(a.get());
-  ASSERT_NE(sock, nullptr);
-  EXPECT_FALSE(sock->enable_zerocopy());
-  EXPECT_FALSE(sock->zerocopy_enabled());
-
-  std::vector<std::string> pieces;
-  std::string expected;
-  for (int i = 0; i < 8; ++i) {
-    pieces.push_back(std::string(8 * 1024, static_cast<char>('a' + i)));
-    expected += pieces.back();
-  }
-  std::vector<ConstSlice> slices;
-  for (const std::string& p : pieces) {
-    slices.push_back(ConstSlice{p.data(), p.size()});
-  }
-  ASSERT_GE(expected.size(), kZeroCopyMinBytes);
-
-  std::string received;
-  std::thread reader([&] { received = recv_all(*b); });
-  ASSERT_TRUE(a->send_slices(slices).ok());
-  a->shutdown_send();
-  reader.join();
-  EXPECT_EQ(received, expected);
-}
-
-TEST(Zerocopy, TcpLargeGatherSafeToMutateAfterSend) {
-  // The MSG_ZEROCOPY contract this codebase relies on: send_slices() must
-  // not return until the kernel is done with the caller's pages, because
-  // the caller is a message template that rewrites those bytes on the very
-  // next request. Send a multi-buffer payload, scribble over the source
-  // buffers the moment send_slices returns, and require the receiver to
-  // still observe the original bytes. Holds whether the kernel granted
-  // zerocopy or the transport fell back to copying writev.
-  Result<TcpListener> listener = TcpListener::bind();
-  ASSERT_TRUE(listener.ok());
-
-  std::string received;
-  std::thread server([&] {
-    Result<std::unique_ptr<Transport>> conn = listener.value().accept();
-    ASSERT_TRUE(conn.ok());
-    received = recv_all(*conn.value());
-  });
-
-  Result<std::unique_ptr<Transport>> client =
-      tcp_connect(listener.value().port());
-  ASSERT_TRUE(client.ok());
-  auto* sock = dynamic_cast<SocketTransport*>(client.value().get());
-  ASSERT_NE(sock, nullptr);
-  const bool armed = sock->enable_zerocopy();  // kernel-dependent; both paths valid
-  EXPECT_EQ(sock->zerocopy_enabled(), armed);
-
-  std::vector<std::string> pieces;
-  std::string expected;
-  for (int i = 0; i < 6; ++i) {
-    pieces.push_back(std::string(200 * 1024, static_cast<char>('0' + i)));
-    expected += pieces.back();
-  }
-  std::vector<ConstSlice> slices;
-  for (const std::string& p : pieces) {
-    slices.push_back(ConstSlice{p.data(), p.size()});
-  }
-  ASSERT_TRUE(client.value()->send_slices(slices).ok());
-  // Simulate the template's next differential update touching every byte.
-  for (std::string& p : pieces) {
-    std::fill(p.begin(), p.end(), '!');
-  }
-  client.value()->shutdown_send();
-  server.join();
-  EXPECT_EQ(received.size(), expected.size());
-  EXPECT_EQ(received, expected);
 }
 
 TEST(PaperSocketOptions, Applied) {

@@ -3,13 +3,16 @@
 // underwrites every other experiment.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 
+#include "common/poly_hash.hpp"
 #include "common/rng.hpp"
 #include "textconv/dtoa.hpp"
 #include "textconv/itoa.hpp"
@@ -74,14 +77,14 @@ TEST(Itoa, DigitBoundaries) {
   // Every power-of-ten boundary for the digit counters.
   std::uint32_t p = 1;
   for (int digits = 1; digits <= 10; ++digits) {
-    EXPECT_EQ(decimal_digits_u32(p), digits) << p;
+    EXPECT_EQ(value_width_u32(p), digits) << p;
     if (p > 1) {
-      EXPECT_EQ(decimal_digits_u32(p - 1), digits - 1) << p - 1;
+      EXPECT_EQ(value_width_u32(p - 1), digits - 1) << p - 1;
     }
     if (digits < 10) p *= 10;
   }
-  EXPECT_EQ(decimal_digits_u32(4294967295u), 10);
-  EXPECT_EQ(decimal_digits_u64(18446744073709551615ull), 20);
+  EXPECT_EQ(value_width_u32(4294967295u), 10);
+  EXPECT_EQ(value_width_u64(18446744073709551615ull), 20);
 }
 
 TEST(Itoa, RoundTripRandom) {
@@ -408,93 +411,120 @@ TEST_P(DtoaWidthSweep, ConstructibleAtEveryWidth) {
 INSTANTIATE_TEST_SUITE_P(Widths, DtoaWidthSweep,
                          ::testing::Values(17, 18, 20, 22, 23, 24));
 
-// --- vectorized tier vs scalar reference ------------------------------------
+// --- standard-library oracles ----------------------------------------------
 //
-// The SWAR conversion tier must be byte-identical to the scalar code
-// they replace: the differential-serialization invariants (serialized_len,
-// content matches, patch checksums) all assume one value has exactly one
-// lexical form.
+// The differential-serialization invariants (serialized_len, content
+// matches, patch checksums) all assume one value has exactly one lexical
+// form. Integers are held byte-equal to std::to_chars. Doubles must
+// round-trip bit-exactly through parse_double (std::from_chars), stay within
+// kMaxDoubleChars and match the xsd:double grammar; a digest over a seeded
+// sweep pins the bytes themselves, so no change of shortest-digit choice or
+// notation can slip through.
 
-/// Pins the dispatch tier for one test and restores CPU detection after.
-class TierGuard {
- public:
-  explicit TierGuard(TextconvTier tier) { set_textconv_tier(tier); }
-  ~TierGuard() { set_textconv_tier(detect_textconv_tier()); }
-};
-
-TEST(TextconvTiers, KillSwitchAndOverride) {
-  TierGuard guard(TextconvTier::kScalar);
-  EXPECT_FALSE(textconv_vectorized());
-  set_textconv_tier(detect_textconv_tier());
-  EXPECT_EQ(textconv_tier(), TextconvTier::kSwar);
-  EXPECT_TRUE(textconv_vectorized());
+/// Asserts write(out, v) produces exactly std::to_chars's bytes.
+template <typename T, typename Write>
+void expect_to_chars(Write write, T v) {
+  char got[kMaxInt64Chars + 8];
+  char want[kMaxInt64Chars + 8];
+  const int len = write(got, v);
+  const std::to_chars_result ref = std::to_chars(want, want + sizeof(want), v);
+  ASSERT_EQ(ref.ec, std::errc{});
+  ASSERT_EQ(std::string_view(got, static_cast<std::size_t>(len)),
+            std::string_view(want, static_cast<std::size_t>(ref.ptr - want)))
+      << v;
 }
 
-TEST(TextconvTiers, IntegerBoundariesMatchScalar) {
-  TierGuard guard(detect_textconv_tier());
-  char fast[kMaxInt64Chars + 8];
-  char ref[kMaxInt64Chars];
+void expect_all_integer_writers(std::uint64_t v) {
+  expect_to_chars<std::uint64_t>(write_u64, v);
+  expect_to_chars<std::int64_t>(write_i64, static_cast<std::int64_t>(v));
+  expect_to_chars<std::uint32_t>(write_u32, static_cast<std::uint32_t>(v));
+  expect_to_chars<std::int32_t>(write_i32, static_cast<std::int32_t>(v));
+}
+
+TEST(TextconvOracle, IntegerBoundariesMatchToChars) {
   // 10^k - 1, 10^k, 10^k + 1 for every k: the digit-width estimate's only
-  // interesting inputs, and the head/group splits in write_u64.
+  // interesting inputs, and the head/group splits in write_u64. The
+  // narrowing casts in expect_all_integer_writers also visit the negative
+  // and 32-bit wrap-around forms of each.
   std::uint64_t p = 1;
   for (int k = 0; k <= 19; ++k) {
     for (const std::uint64_t v : {p - 1, p, p + 1}) {
-      const int lf = write_u64(fast, v);
-      const int lr = scalar::write_u64(ref, v);
-      ASSERT_EQ(lf, lr) << v;
-      ASSERT_EQ(std::memcmp(fast, ref, static_cast<std::size_t>(lf)), 0) << v;
-      if (v <= std::numeric_limits<std::uint32_t>::max()) {
-        const std::uint32_t v32 = static_cast<std::uint32_t>(v);
-        const int lf32 = write_u32(fast, v32);
-        const int lr32 = scalar::write_u32(ref, v32);
-        ASSERT_EQ(lf32, lr32) << v32;
-        ASSERT_EQ(std::memcmp(fast, ref, static_cast<std::size_t>(lf32)), 0);
-      }
+      expect_all_integer_writers(v);
+      expect_all_integer_writers(0 - v);
     }
     if (k < 19) p *= 10;
   }
-  for (const std::int64_t v :
-       {std::int64_t{0}, std::int64_t{-1},
-        static_cast<std::int64_t>(std::numeric_limits<std::int32_t>::min()),
-        std::numeric_limits<std::int64_t>::min(),
-        std::numeric_limits<std::int64_t>::max()}) {
-    const int lf = write_i64(fast, v);
-    const int lr = scalar::write_i64(ref, v);
-    ASSERT_EQ(lf, lr) << v;
-    ASSERT_EQ(std::memcmp(fast, ref, static_cast<std::size_t>(lf)), 0) << v;
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max(),
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::min()),
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()),
+        std::uint64_t{std::numeric_limits<std::uint32_t>::max()},
+        static_cast<std::uint64_t>(
+            std::int64_t{std::numeric_limits<std::int32_t>::min()})}) {
+    expect_all_integer_writers(v);
   }
-  const std::uint64_t umax = std::numeric_limits<std::uint64_t>::max();
-  ASSERT_EQ(write_u64(fast, umax), scalar::write_u64(ref, umax));
-  ASSERT_EQ(std::memcmp(fast, ref, 20), 0);
 }
 
-TEST(TextconvTiers, IntegerRandomSweepMatchesScalar) {
-  TierGuard guard(detect_textconv_tier());
+TEST(TextconvOracle, IntegerRandomSweepMatchesToChars) {
   Rng rng(2024);
-  char fast[kMaxInt64Chars + 8];
-  char ref[kMaxInt64Chars];
   for (int i = 0; i < 200000; ++i) {
     // Stratify across digit counts: raw next_u64 almost never produces
     // short numbers.
     const std::uint64_t raw = rng.next_u64();
     const std::uint64_t v =
         i % 20 == 19 ? raw : raw % swar::kPow10U64[1 + i % 19];
-    const int lf = write_u64(fast, v);
-    const int lr = scalar::write_u64(ref, v);
-    ASSERT_EQ(lf, lr) << v;
-    ASSERT_EQ(std::memcmp(fast, ref, static_cast<std::size_t>(lf)), 0) << v;
-    const std::int32_t s32 = rng.next_i32();
-    const int lf32 = write_i32(fast, s32);
-    const int lr32 = scalar::write_i32(ref, s32);
-    ASSERT_EQ(lf32, lr32) << s32;
-    ASSERT_EQ(std::memcmp(fast, ref, static_cast<std::size_t>(lf32)), 0);
+    expect_to_chars<std::uint64_t>(write_u64, v);
+    expect_to_chars<std::int64_t>(write_i64, static_cast<std::int64_t>(raw));
+    expect_to_chars<std::uint32_t>(write_u32, static_cast<std::uint32_t>(v));
+    expect_to_chars<std::int32_t>(write_i32, rng.next_i32());
   }
 }
 
-TEST(TextconvTiers, DoubleSpotValuesMatchScalar) {
-  TierGuard guard(detect_textconv_tier());
-  char fast[kMaxDoubleChars + 8];
-  char ref[kMaxDoubleChars];
+/// xsd:double lexical space: (+|-)? (digits (. digits?)? | . digits)
+/// ((e|E) (+|-)? digits)?, or INF / -INF / NaN.
+bool is_xsd_double(std::string_view s) {
+  if (s == "INF" || s == "-INF" || s == "NaN") return true;
+  std::size_t i = 0;
+  const auto digits = [&] {
+    const std::size_t start = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i - start;
+  };
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+  std::size_t mantissa = digits();
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    mantissa += digits();
+  }
+  if (mantissa == 0) return false;
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (digits() == 0) return false;
+  }
+  return i == s.size();
+}
+
+/// write_double(v): within the width bound, in the xsd:double grammar, and
+/// read back by parse_double as exactly v. Returns the text.
+std::string checked_dtoa(double v) {
+  const std::string s = dtoa(v);
+  EXPECT_LE(s.size(), static_cast<std::size_t>(kMaxDoubleChars)) << s;
+  EXPECT_TRUE(is_xsd_double(s)) << s;
+  const Result<double> back = parse_double(s);
+  EXPECT_TRUE(back.ok()) << s;
+  if (back.ok()) {
+    const double b = back.value();
+    if (std::isnan(v)) {
+      EXPECT_TRUE(std::isnan(b)) << s;
+    } else {
+      EXPECT_EQ(std::memcmp(&b, &v, sizeof(v)), 0) << s;
+    }
+  }
+  return s;
+}
+
+TEST(TextconvOracle, DoubleSpotValuesRoundTrip) {
   const double cases[] = {0.0,
                           -0.0,
                           1.0,
@@ -510,19 +540,18 @@ TEST(TextconvTiers, DoubleSpotValuesMatchScalar) {
                           std::numeric_limits<double>::infinity(),
                           -std::numeric_limits<double>::infinity(),
                           std::numeric_limits<double>::quiet_NaN()};
-  for (const double v : cases) {
-    const int lf = write_double(fast, v);
-    const int lr = scalar::write_double(ref, v);
-    ASSERT_EQ(lf, lr) << v;
-    ASSERT_EQ(std::memcmp(fast, ref, static_cast<std::size_t>(lf)), 0) << v;
-  }
+  for (const double v : cases) (void)checked_dtoa(v);
 }
 
-TEST(TextconvTiers, DoubleRandomSweepMatchesScalar) {
-  TierGuard guard(detect_textconv_tier());
+// Length and poly::hash of the concatenated sweep output below, recorded
+// from the digit-pair/Grisu2 scalar implementation and the SWAR one while
+// both existed (they agreed byte for byte).
+constexpr std::size_t kSweepBytes = 6602571;
+constexpr std::uint64_t kSweepDigest = 0x062f8c27181a7908ull;
+
+TEST(TextconvOracle, DoubleRandomSweepRoundTripsAndDigestIsPinned) {
   Rng rng(2025);
-  char fast[kMaxDoubleChars + 8];
-  char ref[kMaxDoubleChars];
+  std::string all;
   for (int i = 0; i < 300000; ++i) {
     double v;
     if (i % 10 == 9) {
@@ -532,11 +561,10 @@ TEST(TextconvTiers, DoubleRandomSweepMatchesScalar) {
     } else {
       v = rng.next_finite_double();
     }
-    const int lf = write_double(fast, v);
-    const int lr = scalar::write_double(ref, v);
-    ASSERT_EQ(lf, lr) << v;
-    ASSERT_EQ(std::memcmp(fast, ref, static_cast<std::size_t>(lf)), 0) << v;
+    all += checked_dtoa(v);
   }
+  EXPECT_EQ(all.size(), kSweepBytes);
+  EXPECT_EQ(poly::hash(all), kSweepDigest);
 }
 
 TEST(SwarKernels, ExactStoresNeverWritePastLength) {
