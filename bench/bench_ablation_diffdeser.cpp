@@ -37,10 +37,10 @@ std::string serialize(const soap::RpcCall& call) {
 /// Byte-diffs two same-length documents into the dirty runs a patch frame
 /// would carry, merging runs separated by at most `merge_gap` unchanged
 /// bytes (the shape SendPipeline's journal produces).
-std::vector<core::DiffDeserializer::DirtyRun> byte_diff_runs(
+std::vector<diffwire::PatchRun> byte_diff_runs(
     const std::string& old_doc, const std::string& fresh,
     std::size_t merge_gap) {
-  std::vector<core::DiffDeserializer::DirtyRun> runs;
+  std::vector<diffwire::PatchRun> runs;
   std::size_t i = 0;
   while (i < old_doc.size()) {
     if (old_doc[i] == fresh[i]) {
@@ -51,9 +51,10 @@ std::vector<core::DiffDeserializer::DirtyRun> byte_diff_runs(
     while (i < old_doc.size() && old_doc[i] != fresh[i]) ++i;
     if (!runs.empty() &&
         begin - (runs.back().offset + runs.back().length) <= merge_gap) {
-      runs.back().length = i - runs.back().offset;
+      runs.back().length = static_cast<std::uint32_t>(i - runs.back().offset);
     } else {
-      runs.push_back(core::DiffDeserializer::DirtyRun{begin, i - begin});
+      runs.push_back(diffwire::PatchRun{static_cast<std::uint32_t>(begin),
+                                        static_cast<std::uint32_t>(i - begin)});
     }
   }
   return runs;
@@ -112,7 +113,7 @@ void register_figure() {
           }
           docs.push_back(serialize(soap::make_double_array_call(v)));
         }
-        std::vector<std::vector<core::DiffDeserializer::DirtyRun>> runs = {
+        std::vector<std::vector<diffwire::PatchRun>> runs = {
             byte_diff_runs(docs[1], docs[0], 18),
             byte_diff_runs(docs[0], docs[1], 18)};
         std::uint64_t fast_parses = 0;

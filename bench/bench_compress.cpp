@@ -6,26 +6,25 @@
 // transport, and a SendObserver recording the payload bytes and compression
 // CPU of every send. Series (the trailing /N is dirty values per mille):
 //
-//   WireCompress/fullid/N      — structural-update workload (each request
-//     grows one value past its exact-width field, forcing a full re-offer)
-//     with identity coding: every send is the full envelope.
+//   WireCompress/fullid/N      — re-offer workload (the client drops its
+//     template before each request, so every send is a first-time full
+//     re-offer) with identity coding: every send is the full envelope.
 //   WireCompress/fullpreset/N  — same workload, deflate-preset coding: each
 //     re-offer compresses against the previous pin generation's dictionary,
-//     which the body is near-identical to. This is the MCM/re-offer series
-//     the acceptance gate measures.
+//     which the body is near-identical to. This is the re-offer series the
+//     acceptance gate measures.
 //   WireCompress/patchid/N     — stuffed workload (same-width rewrites stay
 //     in place): steady state sends uncompressed patch frames.
-//   WireCompress/patchpreset/N — same workload, preset coding: patch frames
-//     compress against the dictionary, falling back to identity per message
-//     when compression does not shrink the frame.
+//   WireCompress/patchpreset/N — same workload from a preset-coding client:
+//     patch frames still go uncoded (indexing the dictionary would cost more
+//     than the few hundred bytes it could save).
 //
 // Identity and preset series mutate the same positions with the same values
 // (same RNG seed per point), so the byte ratios isolate the coding layer.
 // check_match_kinds.py gates: fullpreset wire bytes <= 0.5x fullid at every
-// dirty rate (the >= 2x reduction the preset layer exists for), patchpreset
-// payload bytes <= 1.0x patchid at every dirty rate (per-message fallback
-// guarantees a coded frame never costs more than the raw frame), and every
-// WireCompress entry reports failed == 0.
+// dirty rate (the >= 2x reduction the preset layer exists for) with every
+// re-offer coded, patchpreset sends no coded frame and the same payload
+// bytes as patchid, and every WireCompress entry reports failed == 0.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -48,9 +47,7 @@ using namespace bsoap::bench;
 
 /// Request payload size. BSOAP_BENCH_MAX_N caps it for quick runs, but with
 /// a floor of 256: the cross-series byte gates compare whole requests, and
-/// on a tiny body the fixed HTTP head would dominate both sides. The floor
-/// also keeps the structural series from wrapping (each request grows a
-/// distinct value; a re-grown value would stay in place and patch instead).
+/// on a tiny body the fixed HTTP head would dominate both sides.
 std::size_t payload_size() {
   std::size_t n = 1000;
   if (const char* cap = std::getenv("BSOAP_BENCH_MAX_N")) {
@@ -160,9 +157,8 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
 
   core::BsoapClientConfig config;
   if (is_patch_mode(mode)) {
-    // Stuffed numeric fields keep value rewrites in place — the structural
-    // matches the patch path needs. Full modes keep exact stuffing so the
-    // growth workload forces re-offers.
+    // Stuffed numeric fields keep value rewrites in place — the perfect
+    // structural matches the patch series measure.
     config.tmpl.stuffing.mode = core::StuffingPolicy::Mode::kTypeMax;
     config.tmpl.stuffing.stuff_on_expand = true;
   }
@@ -191,18 +187,17 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
 
   std::uint64_t requests = 0;
   std::uint64_t failed = 0;
-  std::size_t grow_index = 0;
   for (auto _ : state) {
     for (int i = 0; i < kRequestsPerIter; ++i) {
       for (std::size_t d = 0; d < dirty; ++d) {
         values[rng.next_below(n)] = soap::double_with_serialized_length(rng, 17);
       }
+      const soap::RpcCall call = soap::make_double_array_call(values);
       if (!is_patch_mode(mode)) {
-        // Grow a fresh value past its exact-width field: every request is a
-        // structural update, so every send is a full re-offer.
-        values[grow_index++ % n] = soap::double_with_serialized_length(rng, 23);
+        // A dropped template makes every send a first-time full re-offer.
+        client.store().erase(call.structure_signature());
       }
-      if (!client.invoke(soap::make_double_array_call(values)).ok()) ++failed;
+      if (!client.invoke(call).ok()) ++failed;
       ++requests;
     }
   }
@@ -210,6 +205,7 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
   state.SetItemsProcessed(static_cast<std::int64_t>(requests));
   state.counters["n"] = static_cast<double>(n);
   state.counters["dirty"] = static_cast<double>(dirty);
+  state.counters["requests"] = static_cast<double>(requests);
   state.counters["failed"] = static_cast<double>(failed);
   state.counters["wire_bytes_per_req"] =
       requests > 0 ? static_cast<double>(sent_bytes.load()) /

@@ -14,6 +14,10 @@
 //   DiffWire/nackstorm/N — diff-wire on, but the server's replica store is
 //     cleared every 16 requests. Each clear NACKs the next patch; the
 //     client falls back to a full send inside the same invoke and re-pins.
+//   DiffWire/shift/N  — diff-wire on, exact-width fields, and every dirty
+//     value takes a new width (1..24 characters) each request, so fields
+//     widen (shift, steal) and narrow; the template is never dropped. The
+//     partial structural matches travel as splice runs.
 //
 // Both series mutate the same value positions (same RNG seed per point), so
 // the patch/full byte ratio isolates the protocol. check_match_kinds.py
@@ -25,7 +29,11 @@
 // computations) must stay <= pins + repins, and the live client template's
 // chunk_rehashes (counted by its own buffer since it was built) <=
 // chunks_per_body: every value here keeps its width, so no chunk goes stale
-// after the first root and each is hashed from scratch once.
+// after the first root and each is hashed from scratch once. The shift
+// series gates its own counts: patch share >= 0.95 with zero demotions,
+// full_hashes <= pins + repins, and the client rehashes no more chunks
+// than the requests touched (chunks holding a rewritten value, plus the
+// tail chunk of every split).
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -60,13 +68,14 @@ std::size_t payload_size() {
 constexpr int kRequestsPerIter = 64;
 constexpr int kClearEvery = 16;  ///< nackstorm: replica wipe cadence
 
-enum class Mode { kFull, kPatch, kNackStorm };
+enum class Mode { kFull, kPatch, kNackStorm, kShift };
 
 const char* mode_name(Mode mode) {
   switch (mode) {
     case Mode::kFull: return "full";
     case Mode::kPatch: return "patch";
     case Mode::kNackStorm: return "nackstorm";
+    case Mode::kShift: return "shift";
   }
   return "?";
 }
@@ -122,11 +131,13 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
   };
 
   core::BsoapClientConfig config;
-  // Stuffed numeric fields keep value rewrites in place — the perfect
-  // structural matches the patch path needs (same config the server uses
-  // for its response templates).
-  config.tmpl.stuffing.mode = core::StuffingPolicy::Mode::kTypeMax;
-  config.tmpl.stuffing.stuff_on_expand = true;
+  if (mode != Mode::kShift) {
+    // Stuffed numeric fields keep value rewrites in place — perfect
+    // structural matches (same config the server uses for its response
+    // templates). The shift series keeps exact widths so fields move.
+    config.tmpl.stuffing.mode = core::StuffingPolicy::Mode::kTypeMax;
+    config.tmpl.stuffing.stuff_on_expand = true;
+  }
   config.diffwire = mode != Mode::kFull;
   core::BsoapClient client(dial, config);
 
@@ -139,21 +150,60 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
   bsoap::Rng rng(static_cast<std::uint64_t>(permille) * 7919 + 17);
 
   // Warmup: first send builds the template and (patch modes) pins + acks.
+  // The shift series also sends one patch, which hashes every chunk of the
+  // template once; from there on only touched chunks may rehash.
+  const std::uint64_t signature =
+      soap::make_double_array_call(values).structure_signature();
   must(client.invoke(soap::make_double_array_call(values)));
+  if (mode == Mode::kShift) {
+    values[1] = soap::double_with_serialized_length(rng, 17);
+    must(client.invoke(soap::make_double_array_call(values)));
+  }
   sent_bytes.store(0, std::memory_order_relaxed);
+  const diffwire::ClientDiffStats start =
+      config.diffwire ? *client.diffwire_stats() : diffwire::ClientDiffStats{};
+  const server::ServerStats server_start = server->stats();
 
   std::uint64_t requests = 0;
   std::uint64_t failed = 0;
+  std::uint64_t rehashes = 0;  // shift: client chunk rehashes in the window
+  std::uint64_t touched = 0;   // shift: chunks the requests touched
+  std::vector<std::size_t> changed;
+  std::vector<std::uint32_t> chunks;
   for (auto _ : state) {
     for (int i = 0; i < kRequestsPerIter; ++i) {
+      changed.clear();
       for (std::size_t d = 0; d < dirty; ++d) {
-        values[rng.next_below(n)] = soap::double_with_serialized_length(rng, 17);
+        const std::size_t at = rng.next_below(n);
+        const int width = mode == Mode::kShift
+                              ? 1 + static_cast<int>(rng.next_below(24))
+                              : 17;
+        values[at] = soap::double_with_serialized_length(rng, width);
+        changed.push_back(at);
       }
       if (mode == Mode::kNackStorm && i % kClearEvery == 0) {
         server->replicas()->clear();
       }
+      const core::MessageTemplate* tmpl = client.store().find(signature);
+      const std::uint64_t rehashes_before =
+          tmpl != nullptr ? tmpl->buffer().chunk_rehashes() : 0;
+      const std::uint64_t splits_before =
+          tmpl != nullptr ? tmpl->stats().chunk_splits : 0;
       if (!client.invoke(soap::make_double_array_call(values)).ok()) ++failed;
       ++requests;
+      if (mode == Mode::kShift && tmpl != nullptr &&
+          tmpl == client.store().find(signature)) {
+        // A double array is the call's only leaves: element i is leaf i.
+        chunks.clear();
+        for (const std::size_t at : changed) {
+          chunks.push_back(tmpl->dut()[at].pos.chunk);
+        }
+        std::sort(chunks.begin(), chunks.end());
+        touched += static_cast<std::uint64_t>(
+            std::unique(chunks.begin(), chunks.end()) - chunks.begin());
+        touched += tmpl->stats().chunk_splits - splits_before;
+        rehashes += tmpl->buffer().chunk_rehashes() - rehashes_before;
+      }
     }
   }
 
@@ -177,14 +227,21 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
     state.counters["full_hashes"] = static_cast<double>(rs.full_hashes);
     state.counters["pins"] = static_cast<double>(rs.pins);
     state.counters["repins"] = static_cast<double>(rs.repins);
-    core::TemplateStore& store = client.store();
-    const std::uint64_t signature =
-        soap::make_double_array_call(values).structure_signature();
-    if (const core::MessageTemplate* tmpl = store.find(signature)) {
+    if (const core::MessageTemplate* tmpl = client.store().find(signature)) {
       state.counters["chunk_rehashes"] =
           static_cast<double>(tmpl->buffer().chunk_rehashes());
       state.counters["chunks_per_body"] =
           static_cast<double>(tmpl->buffer().chunk_count());
+    }
+    if (mode == Mode::kShift) {
+      const server::ServerStats ss = server->stats();
+      state.counters["requests"] = static_cast<double>(requests);
+      state.counters["window_patch_sends"] =
+          static_cast<double>(ds->patch_sends - start.patch_sends);
+      state.counters["demotions"] = static_cast<double>(
+          ss.deser_demotions - server_start.deser_demotions);
+      state.counters["window_chunk_rehashes"] = static_cast<double>(rehashes);
+      state.counters["window_chunks_touched"] = static_cast<double>(touched);
     }
   }
   server->stop();
@@ -213,6 +270,16 @@ void register_bench() {
       ->Iterations(2)
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime();
+  for (const int permille : {10, 100}) {
+    benchmark::RegisterBenchmark(
+        ("DiffWire/shift/" + std::to_string(permille)).c_str(),
+        [permille](benchmark::State& state) {
+          bench_point(state, permille, Mode::kShift);
+        })
+        ->Iterations(2)
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+  }
 }
 
 }  // namespace

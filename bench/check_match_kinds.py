@@ -47,7 +47,11 @@ it shows up as a timing change:
     exercised the fallback); every patch and nackstorm entry must show
     steady patches never hashing a whole body: server full_hashes <=
     pins + repins, and the live client template's chunk_rehashes (its
-    buffer's own count since it was built) <= chunks_per_body;
+    buffer's own count since it was built) <= chunks_per_body; the shift
+    series (every dirty value changes width) must send >= 95% of its
+    requests as patch frames with zero server demotions, full_hashes <=
+    pins + repins, and no more client chunk rehashes than the chunks its
+    requests touched;
   * "DiffDeser/..." series (bench_diffdeser) are gated across series: at
     <= 1% dirty the fused fast-parse receive stage must be >= 5x faster
     than the always-full-parse baseline (both engines), clean fast-parse
@@ -56,11 +60,10 @@ it shows up as a timing change:
   * "WireCompress/..." series (bench_compress) are gated across series at
     every dirty rate: the preset full re-offer series must measure <= 0.5x
     the identity full series' on-wire bytes per request (the >= 2x
-    reduction the template-preset DEFLATE layer exists for), the preset
-    patch series' payload bytes must be <= 1.0x the identity patch series'
-    (per-message fallback guarantees a coded frame never costs more than
-    the raw frame; payload, not wire, since a coded patch carries two
-    extra headers), and every WireCompress entry must report failed == 0.
+    reduction the template-preset DEFLATE layer exists for) and code
+    every re-offer; a preset-configured client's patch frames go uncoded
+    (zero compressed sends, payload bytes equal to the identity patch
+    series'); and every WireCompress entry must report failed == 0.
 
 Exits non-zero listing every violated series.
 """
@@ -192,6 +195,45 @@ def check_root_counts(bench, name, c):
     return errors
 
 
+def check_shift(bench, name, c):
+    """Partial structural matches travel as splice patches.
+
+    Every dirty value of the DiffWire/shift series takes a new width each
+    request, and the template is never dropped, so (in the measured window)
+    at least 95% of requests must go out as patch frames, the server must
+    fast-parse every one of them (zero demotions), hash a whole replica at
+    most once per pin, and the client must rehash no more chunks than the
+    requests touched.
+    """
+    needed = ("requests", "window_patch_sends", "demotions", "full_hashes",
+              "pins", "repins", "window_chunk_rehashes",
+              "window_chunks_touched")
+    missing = [k for k in needed if k not in c]
+    if missing:
+        return [f"{bench} {name}: shift counters missing: "
+                f"{', '.join(missing)}"]
+    errors = []
+    share = c["window_patch_sends"] / c["requests"] if c["requests"] else 0
+    if share < 0.95:
+        errors.append(
+            f"{bench} {name}: patch share {share:.3f} < 0.95 — shifted "
+            f"updates are falling back to full re-offers")
+    if c["demotions"]:
+        errors.append(
+            f"{bench} {name}: {c['demotions']:.0f} demotion(s) — the "
+            f"server could not fast-parse a splice patch")
+    if c["full_hashes"] > c["pins"] + c["repins"]:
+        errors.append(
+            f"{bench} {name}: server hashed {c['full_hashes']:.0f} whole "
+            f"replicas > pins + repins ({c['pins'] + c['repins']:.0f})")
+    if c["window_chunk_rehashes"] > c["window_chunks_touched"]:
+        errors.append(
+            f"{bench} {name}: client rehashed "
+            f"{c['window_chunk_rehashes']:.0f} chunks > the "
+            f"{c['window_chunks_touched']:.0f} chunks its requests touched")
+    return errors
+
+
 def check_diffwire(bench, entries):
     """Cross-series gates for bench_diffwire (see module doc)."""
     points = {}  # (mode, permille) -> counters
@@ -213,6 +255,8 @@ def check_diffwire(bench, entries):
                 f"— the fallback path went unexercised")
         if mode in ("patch", "nackstorm"):
             errors.extend(check_root_counts(bench, f"{series}/{entry['n']}", c))
+        if mode == "shift":
+            errors.extend(check_shift(bench, f"{series}/{entry['n']}", c))
 
     if ("patch", 1) in points and ("full", 1) in points:
         patch = points[("patch", 1)].get("wire_bytes_per_req", 0)
@@ -316,18 +360,30 @@ def check_wire_compress(bench, entries):
                 f"identity full sends ({identity:.0f}) — the template-preset "
                 f"window no longer pays for itself")
 
+        if mode == "fullpreset" and c.get("compressed_sends", 0) < c.get(
+                "requests", 1):
+            errors.append(
+                f"{bench} WireCompress/fullpreset/{permille}: "
+                f"{c.get('compressed_sends', 0):.0f} of "
+                f"{c.get('requests', 0):.0f} re-offers went out coded — "
+                f"every re-offer must be preset-coded")
+
     for (mode, permille), c in points.items():
         if mode != "patchpreset" or ("patchid", permille) not in points:
             continue
+        if c.get("compressed_sends", 0):
+            errors.append(
+                f"{bench} WireCompress/patchpreset/{permille}: "
+                f"{c['compressed_sends']:.0f} coded send(s) — patch frames "
+                f"must go uncoded")
         preset = c.get("payload_bytes_per_req", 0)
         identity = points[("patchid", permille)].get(
             "payload_bytes_per_req", 0)
-        if identity > 0 and preset > identity:
+        if preset != identity:
             errors.append(
-                f"{bench} WireCompress at {permille} per-mille dirty: preset "
-                f"patch payloads cost {preset:.0f} bytes/req > identity "
-                f"patches ({identity:.0f}) — the per-message fallback is "
-                f"not holding")
+                f"{bench} WireCompress at {permille} per-mille dirty: a "
+                f"preset client's patch payloads cost {preset:.0f} bytes/req "
+                f"!= identity patches ({identity:.0f}) — the frames differ")
     return errors
 
 

@@ -67,4 +67,13 @@ inline std::uint64_t move_by(std::size_t offset, std::uint64_t old_hash,
   return d == 0 ? 0 : mul(pow(offset), d);
 }
 
+/// move_by for a piece that also changes offset: the piece at `from`
+/// hashing to `old_hash` becomes one at `to` hashing to `new_hash`. A splice
+/// moves every later piece of the body this way.
+inline std::uint64_t move_to(std::size_t from, std::uint64_t old_hash,
+                             std::size_t to, std::uint64_t new_hash) {
+  if (from == to) return move_by(from, old_hash, new_hash);
+  return sub(mul(pow(to), new_hash), mul(pow(from), old_hash));
+}
+
 }  // namespace bsoap::poly

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace bsoap::compress {
@@ -185,6 +186,32 @@ void encode_distance(BitWriter* out, int distance) {
 constexpr int kHashBits = 15;
 constexpr std::size_t kHashSize = 1u << kHashBits;
 constexpr int kMaxChainLength = 128;
+/// Positions inside a match longer than this are not indexed (zlib's
+/// max_insert_length idea): a long match is rarely followed by a better
+/// one starting inside it, and indexing every byte of it is most of the
+/// cost of coding a body that mostly repeats its dictionary.
+constexpr int kMaxInsertLength = 32;
+
+/// Length of the common prefix of `a` and `b`, at most `max_length`, eight
+/// bytes per step.
+std::size_t match_length(const unsigned char* a, const unsigned char* b,
+                         std::size_t max_length) {
+  std::size_t length = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    while (length + 8 <= max_length) {
+      std::uint64_t x;
+      std::uint64_t y;
+      std::memcpy(&x, a + length, 8);
+      std::memcpy(&y, b + length, 8);
+      if (x != y) {
+        return length + static_cast<std::size_t>(std::countr_zero(x ^ y) / 8);
+      }
+      length += 8;
+    }
+  }
+  while (length < max_length && a[length] == b[length]) ++length;
+  return length;
+}
 
 std::uint32_t hash3(const unsigned char* p) {
   // Multiplicative hash over the next three bytes.
@@ -226,8 +253,13 @@ void deflate_fixed_block(BitWriter* out, const unsigned char* data,
              i - static_cast<std::size_t>(candidate) <= kWindowSize) {
         const unsigned char* a = data + candidate;
         const unsigned char* b = data + i;
-        std::size_t length = 0;
-        while (length < max_length && a[length] == b[length]) ++length;
+        // Only a longer match counts: a candidate that differs at the
+        // current best length cannot be one.
+        if (a[best_length] != b[best_length]) {
+          candidate = prev[static_cast<std::size_t>(candidate)];
+          continue;
+        }
+        const std::size_t length = match_length(a, b, max_length);
         if (static_cast<int>(length) > best_length) {
           best_length = static_cast<int>(length);
           best_distance = static_cast<int>(i - static_cast<std::size_t>(candidate));
@@ -245,7 +277,9 @@ void deflate_fixed_block(BitWriter* out, const unsigned char* data,
       encode_distance(out, best_distance);
       // Insert the skipped positions so later matches can reference them.
       const std::size_t end = i + static_cast<std::size_t>(best_length);
-      for (std::size_t k = i + 1; k < end && k + kMinMatch <= n; ++k) {
+      for (std::size_t k = i + 1;
+           best_length <= kMaxInsertLength && k < end && k + kMinMatch <= n;
+           ++k) {
         const std::uint32_t h = hash3(data + k);
         prev[k] = head[h];
         head[h] = static_cast<std::int32_t>(k);
@@ -665,6 +699,14 @@ std::string zlib_compress(std::string_view input, std::string_view dict) {
   DeflateStream stream;
   stream.preset(dict);
   return zlib_compress(stream, input);
+}
+
+std::optional<std::uint32_t> zlib_dictionary_id(std::string_view input) {
+  if (input.size() < 6 ||
+      (static_cast<unsigned char>(input[1]) & kZlibFlagDict) == 0) {
+    return std::nullopt;
+  }
+  return read_be32(input, 2);
 }
 
 Result<std::string> zlib_decompress(std::string_view input,

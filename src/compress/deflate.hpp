@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,6 +95,10 @@ std::string zlib_compress(DeflateStream& stream, std::string_view input);
 Result<std::string> zlib_decompress(std::string_view input,
                                     std::size_t max_output = 1u << 30,
                                     std::string_view dict = {});
+
+/// The DICTID a zlib stream's header names, or nullopt when the stream is
+/// too short or carries no FDICT.
+std::optional<std::uint32_t> zlib_dictionary_id(std::string_view input);
 
 /// gzip member: header + deflate body + CRC32 + ISIZE.
 std::string gzip_compress(std::string_view input);

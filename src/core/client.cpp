@@ -85,8 +85,8 @@ Result<soap::Value> BsoapClient::invoke(const soap::RpcCall& call) {
         }
         if (diff->value == diffwire::kAckValue) {
           diffwire_->note_ack(id);
-          // Preset-coding ack: subsequent sends under this pin may go out
-          // compressed against the pin generation's dictionary.
+          // Preset-coding ack: re-offers under this pin may go out
+          // compressed against the replica's dictionary.
           const http::Header* coding_ack = resp.find(diffwire::kCodingHeader);
           if (coding_ack != nullptr &&
               coding_ack->value == diffwire::kCodingPresetValue) {

@@ -71,10 +71,10 @@ struct BsoapClientConfig {
   bool diffwire = false;
   /// Content coding for request payloads. kGzip/kDeflate compress every
   /// full body; kDeflatePreset — the second differential layer — presets
-  /// the DEFLATE window from the diff-wire pin generation, so patch frames
-  /// and full re-offers shrink against bytes the server already holds
-  /// (requires diffwire and invoke(), which reads the server's coding ack;
-  /// without them it degrades to identity). Any coded send falls back to
+  /// the DEFLATE window from the diff-wire replica, so full re-offers
+  /// shrink against bytes the server already holds; patch frames go
+  /// uncoded (requires diffwire and invoke(), which reads the server's
+  /// coding ack; without them it degrades to identity). Any coded send falls back to
   /// identity per message when compression does not shrink the payload.
   http::ContentCoding coding = http::ContentCoding::kIdentity;
   /// Request payloads smaller than this are never compressed.

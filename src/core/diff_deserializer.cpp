@@ -60,7 +60,6 @@ std::size_t DiffDeserializer::bytes() const {
   std::size_t n = cached_doc_.capacity() +
                   regions_.capacity() * sizeof(LeafRegion) +
                   slots_.capacity() * sizeof(LeafSlot) +
-                  touched_.capacity() * sizeof(std::size_t) +
                   cached_call_.method.capacity() +
                   cached_call_.service_namespace.capacity() +
                   cached_call_.params.capacity() * sizeof(soap::Param);
@@ -83,68 +82,182 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::demote(
   return report;
 }
 
+namespace {
+
+/// Matches one piece of the new document against `old`, the structure
+/// between two leaves (or after the last leaf of a window) in the cached
+/// document: the same tags and other tokens byte for byte, while the
+/// whitespace between them may differ (the sender's padding). Starts at
+/// `*pos` and advances it past the match. The piece ends right after its
+/// last token, or at `end` when `to_end` (whitespace before `end` allowed).
+bool match_structure(std::string_view old, std::string_view doc,
+                     std::size_t* pos, std::size_t end, bool to_end) {
+  // Unchanged bytes, the common case (a same-width rewrite): one compare.
+  if (end - *pos >= old.size() && doc.compare(*pos, old.size(), old) == 0 &&
+      (!to_end || *pos + old.size() == end)) {
+    *pos += old.size();
+    return true;
+  }
+  std::size_t i = 0;
+  std::size_t j = *pos;
+  for (;;) {
+    while (i < old.size() && is_ws(old[i])) ++i;
+    if (i == old.size()) break;
+    while (j < end && is_ws(doc[j])) ++j;
+    // A token is a tag through its '>', or text up to the next '<'.
+    std::size_t token_end =
+        old[i] == '<' ? old.find('>', i) : old.find('<', i);
+    if (token_end == std::string_view::npos) {
+      token_end = old.size();
+    } else if (old[i] == '<') {
+      ++token_end;
+    }
+    const std::size_t len = token_end - i;
+    if (end - j < len || doc.compare(j, len, old.substr(i, len)) != 0) {
+      return false;
+    }
+    i += len;
+    j += len;
+  }
+  if (to_end) {
+    while (j < end && is_ws(doc[j])) ++j;
+    if (j != end) return false;
+  }
+  *pos = j;
+  return true;
+}
+
+}  // namespace
+
 Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
-    std::string_view document, std::span<const DirtyRun> runs) {
+    std::string_view document, std::span<const diffwire::PatchRun> runs) {
   if (!cache_valid_) {
     BSOAP_RETURN_IF_ERROR(full_parse(document));
     return ApplyReport{ApplyPath::kFullParse, 0, false};
   }
-  if (document.size() != cached_doc_.size() || !fast_path_usable_) {
+  if (!fast_path_usable_) return demote(document);
+  // The runs must turn the cached document into `document`: sorted and
+  // disjoint in cached-document offsets, and the lengths must add up.
+  std::size_t old_end = 0;
+  std::ptrdiff_t growth = 0;
+  bool resizes = false;
+  for (const diffwire::PatchRun& run : runs) {
+    if (run.offset < old_end || run.offset > cached_doc_.size() ||
+        run.old_length() > cached_doc_.size() - run.offset) {
+      return demote(document);
+    }
+    old_end = std::size_t{run.offset} + run.old_length();
+    growth += static_cast<std::ptrdiff_t>(run.length) -
+              static_cast<std::ptrdiff_t>(run.old_length());
+    resizes = resizes || run.length != run.old_length();
+  }
+  if (static_cast<std::ptrdiff_t>(cached_doc_.size()) + growth !=
+      static_cast<std::ptrdiff_t>(document.size())) {
     return demote(document);
   }
   if (runs.empty()) {
     return ApplyReport{ApplyPath::kContentHit, 0, false};
   }
 
-  // Intersect each run with the leaf-region map. Bytes of a run that fall
-  // outside every region are structural: a patch may cover them (runs span
-  // the close tag after a widened value) but must not change them.
-  touched_.clear();
-  for (const DirtyRun& run : runs) {
-    if (run.length == 0) continue;
-    if (run.offset > document.size() ||
-        run.length > document.size() - run.offset) {
-      return demote(document);
+  // Runs group into windows of whole leaves: from the text of the first
+  // leaf a run meets to the text of the first leaf after it (or the end of
+  // the document). The window's new bytes are re-scanned with the
+  // `<n>text</n>` rule: the same structure between the same number of
+  // texts, else demote. Regions before a window have moved by the growth
+  // of the windows before it.
+  const std::size_t n = regions_.size();
+  std::ptrdiff_t shift = 0;  // new offset − cached offset before the window
+  std::size_t placed = 0;    // regions_[0, placed) hold new offsets
+  std::size_t reparsed = 0;
+  for (std::size_t r = 0; r < runs.size();) {
+    std::size_t lo = static_cast<std::size_t>(
+        std::lower_bound(regions_.begin() + placed, regions_.end(),
+                         std::size_t{runs[r].offset},
+                         [](const LeafRegion& region, std::size_t pos) {
+                           return region.end < pos;
+                         }) -
+        regions_.begin());
+    if (lo == n) return demote(document);  // past the last leaf's text
+    if (runs[r].offset < regions_[lo].begin) {
+      // Starts in the structure before leaf `lo`: the window starts at the
+      // leaf before (none before the first leaf: the envelope head).
+      if (lo == placed) return demote(document);
+      --lo;
     }
-    std::size_t cursor = run.offset;
-    const std::size_t run_end = run.offset + run.length;
-    while (cursor < run_end) {
-      // First region whose end lies past the cursor.
-      const auto it = std::upper_bound(
-          regions_.begin(), regions_.end(), cursor,
-          [](std::size_t pos, const LeafRegion& r) { return pos < r.end; });
-      const std::size_t next_begin =
-          it == regions_.end() ? document.size() : it->begin;
-      if (cursor < next_begin) {
-        const std::size_t seg_end = std::min(run_end, next_begin);
-        if (std::memcmp(document.data() + cursor, cached_doc_.data() + cursor,
-                        seg_end - cursor) != 0) {
-          return demote(document);  // a structural byte changed
-        }
-        cursor = seg_end;
-        continue;
-      }
-      touched_.push_back(static_cast<std::size_t>(it - regions_.begin()));
-      cursor = std::min(run_end, it->end);
-    }
-  }
-  std::sort(touched_.begin(), touched_.end());
-  touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                 touched_.end());
+    std::size_t hi = lo;
+    std::size_t b = 0;  // window end, cached offset
+    std::ptrdiff_t window_growth = 0;
+    do {
+      const diffwire::PatchRun& run = runs[r];
+      const std::size_t run_end = std::size_t{run.offset} + run.old_length();
+      hi = static_cast<std::size_t>(
+          std::upper_bound(regions_.begin() + hi, regions_.end(), run_end,
+                           [](std::size_t pos, const LeafRegion& region) {
+                             return pos < region.begin;
+                           }) -
+          regions_.begin());
+      b = hi < n ? regions_[hi].begin : cached_doc_.size();
+      window_growth += static_cast<std::ptrdiff_t>(run.length) -
+                       static_cast<std::ptrdiff_t>(run.old_length());
+      ++r;
+    } while (r < runs.size() && runs[r].offset < b);
 
-  for (const DirtyRun& run : runs) {
-    if (run.length == 0) continue;
-    std::memcpy(cached_doc_.data() + run.offset, document.data() + run.offset,
-                run.length);
+    if (shift != 0) {
+      for (std::size_t k = placed; k < lo; ++k) {
+        regions_[k].begin += shift;
+        regions_[k].end += shift;
+      }
+    }
+    std::size_t pos = regions_[lo].begin + shift;
+    const std::size_t window_end = b + shift + window_growth;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const void* lt = std::memchr(document.data() + pos, '<',
+                                   window_end - pos);
+      if (lt == nullptr) return demote(document);
+      const std::size_t text_end =
+          static_cast<std::size_t>(static_cast<const char*>(lt) -
+                                   document.data());
+      const std::size_t old_next = k + 1 < hi ? regions_[k + 1].begin : b;
+      const std::string_view old_structure =
+          std::string_view(cached_doc_)
+              .substr(regions_[k].end, old_next - regions_[k].end);
+      regions_[k] = LeafRegion{pos, text_end};
+      pos = text_end;
+      if (!match_structure(old_structure, document, &pos, window_end,
+                           /*to_end=*/k + 1 == hi)) {
+        return demote(document);
+      }
+    }
+    for (std::size_t k = lo; k < hi; ++k) {
+      const LeafRegion& region = regions_[k];
+      if (!reparse_slot(k, document.substr(region.begin,
+                                           region.end - region.begin))
+               .ok()) {
+        return demote(document);
+      }
+    }
+    reparsed += hi - lo;
+    shift += window_growth;
+    placed = hi;
   }
-  for (const std::size_t index : touched_) {
-    const LeafRegion& r = regions_[index];
-    const std::string_view fresh =
-        std::string_view(cached_doc_).substr(r.begin, r.end - r.begin);
-    const Status st = reparse_slot(index, fresh);
-    if (!st.ok()) return demote(document);
+  if (shift != 0) {
+    for (std::size_t k = placed; k < n; ++k) {
+      regions_[k].begin += shift;
+      regions_[k].end += shift;
+    }
   }
-  return ApplyReport{ApplyPath::kFastParse, touched_.size(), false};
+  if (resizes) {
+    cached_doc_.assign(document);
+  } else {
+    for (const diffwire::PatchRun& run : runs) {
+      std::memcpy(cached_doc_.data() + run.offset,
+                  document.data() + run.offset, run.length);
+    }
+  }
+#ifdef BSOAP_DEBUG_INVARIANTS
+  check_against_full_parse();
+#endif
+  return ApplyReport{ApplyPath::kFastParse, reparsed, false};
 }
 
 Status DiffDeserializer::reparse_slot(std::size_t index,
@@ -275,6 +388,61 @@ Status DiffDeserializer::full_parse(std::string_view document) {
 }
 
 #ifdef BSOAP_DEBUG_INVARIANTS
+namespace {
+
+/// Bitwise value equality (NaN equals itself, -0.0 differs from 0.0).
+bool bit_equal(const soap::Value& a, const soap::Value& b) {
+  using soap::ValueKind;
+  if (a.kind() != b.kind()) return false;
+  const auto same_bytes = [](const auto& x, const auto& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) == 0);
+  };
+  switch (a.kind()) {
+    case ValueKind::kDoubleArray:
+      return same_bytes(a.doubles(), b.doubles());
+    case ValueKind::kIntArray:
+      return same_bytes(a.ints(), b.ints());
+    case ValueKind::kMioArray:
+      return same_bytes(a.mios(), b.mios());
+    case ValueKind::kStruct:
+      if (a.members().size() != b.members().size()) return false;
+      for (std::size_t i = 0; i < a.members().size(); ++i) {
+        if (a.members()[i].name != b.members()[i].name ||
+            !bit_equal(a.members()[i].value, b.members()[i].value)) {
+          return false;
+        }
+      }
+      return true;
+    default:
+      return a == b;
+  }
+}
+
+}  // namespace
+
+/// A fast parse must leave exactly what a full parse of the document
+/// would: the same call, bit for bit, and the same region map.
+void DiffDeserializer::check_against_full_parse() const {
+  soap::LeafSpans leaves;
+  Result<soap::RpcCall> full = soap::read_rpc_envelope(cached_doc_, &leaves);
+  BSOAP_ASSERT(full.ok());
+  const soap::RpcCall& call = full.value();
+  BSOAP_ASSERT(call.method == cached_call_.method &&
+               call.service_namespace == cached_call_.service_namespace &&
+               call.params.size() == cached_call_.params.size());
+  for (std::size_t i = 0; i < call.params.size(); ++i) {
+    BSOAP_ASSERT(call.params[i].name == cached_call_.params[i].name);
+    BSOAP_ASSERT(bit_equal(call.params[i].value, cached_call_.params[i].value));
+  }
+  BSOAP_ASSERT(leaves.exact && leaves.spans.size() == regions_.size());
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    BSOAP_ASSERT(leaves.spans[i].begin == regions_[i].begin &&
+                 leaves.spans[i].end == regions_[i].end);
+  }
+}
+
 /// Checks the one-pass map against a separate pull-parser walk that takes
 /// the span of every childless element's single text event (the pass
 /// full_parse made before the reader recorded spans itself). When the

@@ -3,24 +3,31 @@
 //
 // A server receiving a stream of similar messages can cache the parse of the
 // previous message. When the sender proves which bytes changed — the
-// diff-wire patch frame's dirty runs, backed by its whole-body checksum —
-// the server re-parses just the leaves those runs touch instead of the
-// whole envelope, and an unchanged document costs nothing at all.
+// diff-wire patch frame's runs, backed by its whole-body checksum — the
+// server re-parses just the leaves those runs touch instead of the whole
+// envelope, and an unchanged document costs nothing at all.
 //
 //   prime(document)       — full parse; (re)builds the cached call and,
 //                           in the same pass, the leaf-region map
 //                           (absolute body offsets of every typed-array
 //                           leaf).
-//   apply_runs(doc, runs) — trusts the caller that every byte outside `runs`
-//                           equals the cached document, so the fast path
-//                           touches only the dirty bytes: intersect the runs
-//                           with the leaf-region map, re-parse touched leaves
-//                           in place, and never walk the full message.
+//   apply_runs(doc, runs) — trusts the caller that `doc` is the cached
+//                           document with `runs` applied (overwrites and
+//                           splices, in cached-document offsets), so the
+//                           fast path touches only the run windows: the
+//                           leaves each run meets are re-scanned in the
+//                           new bytes with the `<n>text</n>` rule and
+//                           re-parsed, and when a splice changed the
+//                           length every later region moves by the running
+//                           delta in one pass. The full message is never
+//                           walked.
 //
-// apply_runs degrades gracefully: a length change, a structural byte inside
-// a run, or an unsupported shape demotes to a full parse (which re-primes
-// the cache and rebuilds the region map). The ApplyReport says which path
-// served the request.
+// apply_runs degrades gracefully: a window whose new bytes hold another
+// number of leaves or other tag bytes (whitespace between tags may differ:
+// that is the sender's padding), a run outside every leaf window, or an
+// unsupported shape demotes to a full parse (which re-primes the cache and
+// rebuilds the region map). The ApplyReport says which path served the
+// request.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +37,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "diffwire/wire_format.hpp"
 #include "soap/envelope_reader.hpp"
 #include "soap/value.hpp"
 
@@ -39,16 +47,9 @@ class DiffDeserializer {
  public:
   /// One leaf's byte span in the cached document (text content of a
   /// typed-array leaf, absolute body offsets, [begin, end)), recorded by
-  /// the full parse itself. Regions are in slot order, sorted by begin,
-  /// and stay valid across apply_runs() epochs because patches never
-  /// change the body length.
+  /// the full parse itself and moved by apply_runs(). Regions are in slot
+  /// order, sorted by begin.
   using LeafRegion = soap::LeafSpan;
-
-  /// One contiguous dirty byte span of a patched document.
-  struct DirtyRun {
-    std::size_t offset;
-    std::size_t length;
-  };
 
   /// How apply_runs() satisfied a request.
   enum class ApplyPath : std::uint8_t {
@@ -66,15 +67,16 @@ class DiffDeserializer {
   /// Unconditional full parse that (re)primes the cache.
   Status prime(std::string_view document);
 
-  /// Updates the cached parse for `document`, which must equal the cached
-  /// document outside `runs` (byte-verified upstream — the diff-wire patch
-  /// checksum covers the whole reconstructed body). Only run bytes are
-  /// examined: runs fully inside leaf regions re-parse just those leaves;
-  /// structural bytes covered by a run must be byte-identical (patch runs
-  /// legitimately span the close tag after a widened value) or the request
-  /// demotes to a full parse. Empty `runs` is a content hit.
+  /// Updates the cached parse for `document`, which must be the cached
+  /// document with `runs` applied (byte-verified upstream — the diff-wire
+  /// patch checksum covers the whole reconstructed body). Run offsets are
+  /// in the cached document; a run's `data` is not read. Runs that are
+  /// unsorted, overlapping, out of bounds or whose lengths do not add up
+  /// to `document`'s demote to a full parse, as does a window whose new
+  /// bytes do not re-scan to the same leaves and tags. Empty `runs` is a
+  /// content hit.
   Result<ApplyReport> apply_runs(std::string_view document,
-                                 std::span<const DirtyRun> runs);
+                                 std::span<const diffwire::PatchRun> runs);
 
   /// The cached call; valid only when primed(). Stays put until the next
   /// prime()/apply_runs() call.
@@ -107,13 +109,13 @@ class DiffDeserializer {
   bool collect_slots();
 #ifdef BSOAP_DEBUG_INVARIANTS
   void check_regions_against_walk(bool exact) const;
+  void check_against_full_parse() const;
 #endif
 
   std::string cached_doc_;
   soap::RpcCall cached_call_;
   std::vector<LeafRegion> regions_;
   std::vector<LeafSlot> slots_;
-  std::vector<std::size_t> touched_;  ///< apply_runs scratch (region indices)
   bool cache_valid_ = false;
   bool fast_path_usable_ = false;
 };

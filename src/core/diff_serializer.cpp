@@ -341,22 +341,36 @@ void dirty_mio_part(MessageTemplate& tmpl, const ArraySegment& seg,
   tm.rewrite_ns += ns_between(t1, Clock::now());
 }
 
+/// A dirty-mode update converts only the dirty leaves, where compare mode
+/// also scans every clean one, so a dirty segment must hold this fraction
+/// of parallel_min_leaves in dirty leaves before the pool pays: against
+/// the serial path its partition and wake-up read 0.82–1.22× at 655–1,000
+/// dirty leaves and 1.6–2.0× at 6,554–10,000
+/// (AblationDut/UpdatePool_Dirty_*, EXPERIMENTS.md).
+constexpr std::size_t kDirtyLeafWeight = 16;
+
 /// Runs `part(eb, ee, writer, runs, telemetry)` chunk-partitioned on the
-/// shared pool when the segment is large, multi-chunk, and provably
-/// expansion-free (worker writes then touch disjoint chunks and disjoint DUT
-/// entries; counters accumulate in worker-local stats merged after the
-/// join). Returns false without calling `part` when the segment is not
-/// eligible; `merged_runs` then holds every part's dirty runs for the
-/// caller's serial bit clear.
+/// shared pool when the segment is large (in dirty mode, also by its dirty
+/// count), multi-chunk, and provably expansion-free (worker writes then
+/// touch disjoint chunks and disjoint DUT entries; counters accumulate in
+/// worker-local stats merged after the join). Returns false without calling
+/// `part` when the segment is not eligible; `merged_runs` then holds every
+/// part's dirty runs for the caller's serial bit clear.
 template <typename PartFn>
 bool parallel_segment(MessageTemplate& tmpl, const ArraySegment& seg,
-                      std::vector<RunRange>& merged_runs, BulkTelemetry& tm,
-                      PartFn&& part) {
+                      bool dirty_mode, std::vector<RunRange>& merged_runs,
+                      BulkTelemetry& tm, PartFn&& part) {
   const BulkUpdateConfig& cfg = tmpl.config().bulk;
   // An armed recovery journal records fields single-threaded; the serial
   // paths run instead while one is attached.
+  const std::size_t min_dirty = cfg.parallel_min_leaves / kDirtyLeafWeight;
   if (tmpl.journal() != nullptr ||
       seg.leaf_count() < cfg.parallel_min_leaves ||
+      (dirty_mode &&
+       (tmpl.dut().dirty_count() < min_dirty ||  // O(1) bound first
+        tmpl.dut().dirty_count_in(seg.first_leaf,
+                                  seg.first_leaf + seg.leaf_count()) <
+            min_dirty)) ||
       !guaranteed_fit(tmpl, seg)) {
     return false;
   }
@@ -387,7 +401,10 @@ template <typename PartFn>
 void update_segment(MessageTemplate& tmpl, const ArraySegment& seg,
                     std::vector<RunRange>& serial_runs, BulkTelemetry& tm,
                     PartFn&& part) {
-  if (parallel_segment(tmpl, seg, serial_runs, tm, part)) return;
+  if (parallel_segment(tmpl, seg, /*dirty_mode=*/false, serial_runs, tm,
+                       part)) {
+    return;
+  }
   MessageTemplate::RunWriter w(tmpl, tmpl.stats());
   part(0, seg.elem_count, w, serial_runs, tm);
 }
@@ -700,7 +717,7 @@ struct DirtyVisitor : RewriteContext {
     const ArraySegment* seg =
         match_segment(ArraySegment::Kind::kDouble, v.size());
     if (seg == nullptr) return false;
-    if (parallel_segment(tmpl, *seg, runs_scratch, bulk,
+    if (parallel_segment(tmpl, *seg, /*dirty_mode=*/true, runs_scratch, bulk,
                          [&](std::uint32_t eb, std::uint32_t ee,
                              MessageTemplate::RunWriter& w,
                              std::vector<RunRange>& runs, BulkTelemetry& tm) {
@@ -718,7 +735,7 @@ struct DirtyVisitor : RewriteContext {
     const ArraySegment* seg =
         match_segment(ArraySegment::Kind::kInt32, v.size());
     if (seg == nullptr) return false;
-    if (parallel_segment(tmpl, *seg, runs_scratch, bulk,
+    if (parallel_segment(tmpl, *seg, /*dirty_mode=*/true, runs_scratch, bulk,
                          [&](std::uint32_t eb, std::uint32_t ee,
                              MessageTemplate::RunWriter& w,
                              std::vector<RunRange>& runs, BulkTelemetry& tm) {
@@ -735,7 +752,7 @@ struct DirtyVisitor : RewriteContext {
   bool on_mio_array(std::span<const soap::Mio> v) {
     const ArraySegment* seg = match_segment(ArraySegment::Kind::kMio, v.size());
     if (seg == nullptr) return false;
-    if (parallel_segment(tmpl, *seg, runs_scratch, bulk,
+    if (parallel_segment(tmpl, *seg, /*dirty_mode=*/true, runs_scratch, bulk,
                          [&](std::uint32_t eb, std::uint32_t ee,
                              MessageTemplate::RunWriter& w,
                              std::vector<RunRange>& runs, BulkTelemetry& tm) {

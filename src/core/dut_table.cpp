@@ -26,6 +26,21 @@ const LeafTypeInfo& leaf_type_info(LeafType type) noexcept {
   return kStringInfo;
 }
 
+std::size_t DutTable::dirty_count_in(std::size_t begin,
+                                     std::size_t end) const {
+  std::size_t count = 0;
+  for (std::size_t i = begin; i < end;) {
+    const std::size_t bit = i & 63;
+    const std::size_t span = std::min<std::size_t>(64 - bit, end - i);
+    std::uint64_t mask = ~std::uint64_t{0} << bit;
+    if (span < 64) mask &= ~std::uint64_t{0} >> (64 - bit - span);
+    count +=
+        static_cast<std::size_t>(std::popcount(dirty_words_[i >> 6] & mask));
+    i += span;
+  }
+  return count;
+}
+
 void DutTable::clear_dirty_range(std::size_t begin, std::size_t end) {
   if (begin >= end) return;
   std::size_t cleared = 0;

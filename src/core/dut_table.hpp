@@ -160,6 +160,8 @@ class DutTable {
   }
   bool any_dirty() const { return dirty_count_ > 0; }
   std::size_t dirty_count() const { return dirty_count_; }
+  /// Dirty bits set in [begin, end): a popcount over the mask words.
+  std::size_t dirty_count_in(std::size_t begin, std::size_t end) const;
 
   /// The raw bitmask for word-wide scanning; bit i of word w is leaf
   /// w*64 + i. Bits at or beyond size() are always zero.

@@ -50,7 +50,9 @@ void UpdateJournal::begin(MessageTemplate& tmpl) {
   bytes_.clear();
   strings_.clear();
   dirty_words_.clear();
-  structural_ = false;
+  shifts_.clear();
+  steals_.clear();
+  structural_marks_ = 0;
   armed_ = true;
   tmpl.dut().snapshot_dirty_words(dirty_words_);
   dirty_count_ = tmpl.dut().dirty_count();
@@ -66,6 +68,8 @@ void UpdateJournal::commit(MessageTemplate& tmpl) {
   bytes_.clear();
   strings_.clear();
   dirty_words_.clear();
+  shifts_.clear();
+  steals_.clear();
 }
 
 void UpdateJournal::record_field(MessageTemplate& tmpl, std::size_t idx) {
@@ -88,7 +92,7 @@ bool UpdateJournal::rollback(MessageTemplate& tmpl) {
   BSOAP_ASSERT(tmpl.journal_ == this);
   tmpl.journal_ = nullptr;
   armed_ = false;
-  if (structural_) return false;
+  if (structural()) return false;
   DutTable& dut = tmpl.dut();
   // Reverse order: a leaf recorded twice (RunWriter fallback re-entering
   // rewrite_value) has its earliest record — the true pre-update state —
@@ -130,7 +134,8 @@ void MessageTemplate::rewrite_value(std::size_t idx, const char* text,
     // The value no longer fits: widen the field, by stealing a neighbour's
     // padding when allowed, else by shifting the chunk tail. Either way,
     // bytes outside the recorded field regions move — past the point of
-    // exact rollback.
+    // exact rollback. try_steal and expand_by_shifting record the geometry
+    // a diff-wire patch needs.
     if (journal_ != nullptr) journal_->mark_structural();
     ++stats_.expansions;
     std::uint32_t new_width = len;
@@ -187,6 +192,7 @@ bool MessageTemplate::try_steal(std::size_t idx, std::uint32_t new_width) {
     donor.field_width -= delta;
     entry.field_width = new_width;
     ++stats_.steals;
+    if (journal_ != nullptr) journal_->record_steal(idx, j);
     return true;
   }
   return false;
@@ -220,6 +226,7 @@ void MessageTemplate::expand_by_shifting(std::size_t idx,
       break;
   }
   dut_[idx].field_width = new_width;
+  if (journal_ != nullptr) journal_->record_shift(idx, old_region, new_region);
 }
 
 void MessageTemplate::RunWriter::rewrite_padded(std::size_t idx,

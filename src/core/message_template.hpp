@@ -63,8 +63,9 @@ struct BulkUpdateConfig {
   std::uint32_t min_elements = 16;
   /// Segments update on the shared worker pool when they span multiple
   /// chunks, every field provably fits its width (no expansion possible),
-  /// and the segment has at least this many leaves. SIZE_MAX keeps every
-  /// segment on the serial path.
+  /// and the segment has at least this many leaves (a dirty-field update
+  /// also needs a sixteenth of this many dirty leaves). SIZE_MAX keeps
+  /// every segment on the serial path.
   std::size_t parallel_min_leaves = 1 << 16;
 };
 
@@ -123,8 +124,30 @@ class MessageTemplate;
 /// whose pre-move layout was not captured; the journal then reports itself
 /// structural and rollback refuses — the caller invalidates the template
 /// instead, forcing a clean first-time send.
+///
+/// The same records describe the update to a diff-wire peer. Besides the
+/// touched fields, the journal keeps each expansion's geometry: a shift
+/// (the field's region grew, everything after it moved) and a steal (bytes
+/// moved inside one chunk, from the widened field's start to the end of
+/// its donor's region, without changing the body length). From these and
+/// the final DUT positions a patch frame derives its overwrite and splice
+/// runs (SendPipeline::build_patch_frame).
 class UpdateJournal {
  public:
+  /// One expansion by shifting: field `idx`'s region (value, close tag and
+  /// padding) grew from `old_region` to `new_region` bytes.
+  struct ShiftRecord {
+    std::uint32_t idx = 0;
+    std::uint32_t old_region = 0;
+    std::uint32_t new_region = 0;
+  };
+  /// One expansion by stealing: the bytes from field `idx`'s start to the
+  /// end of field `donor`'s region moved (same total length).
+  struct StealRecord {
+    std::uint32_t idx = 0;
+    std::uint32_t donor = 0;
+  };
+
   /// Starts recording against `tmpl` (arms the rewrite-engine hooks).
   /// Any previously captured state is dropped.
   void begin(MessageTemplate& tmpl);
@@ -139,25 +162,39 @@ class UpdateJournal {
   bool rollback(MessageTemplate& tmpl);
 
   bool armed() const { return armed_; }
-  bool structural() const { return structural_; }
+  bool structural() const { return structural_marks_ != 0; }
+  /// True when every structural change of the armed update has a shift or
+  /// steal record, so the records describe the whole update to a peer.
+  bool patchable() const {
+    return structural_marks_ == shifts_.size() + steals_.size();
+  }
   /// True when the armed update touched nothing (rollback would be a no-op).
-  bool empty() const { return records_.empty() && !structural_; }
+  bool empty() const { return records_.empty() && !structural(); }
 
   /// Appends the DUT indices the armed update touched, in record order (a
-  /// leaf may appear more than once if it was re-recorded). While the
-  /// update is non-structural these indices' regions have stable positions
-  /// and widths, so their post-update bytes are exactly the dirty runs a
-  /// diff-wire patch frame needs to carry.
+  /// leaf may appear more than once if it was re-recorded). Their final
+  /// regions, with the steal spans, cover every byte the update changed.
   void touched_fields(std::vector<std::uint32_t>& out) const {
     out.clear();
     out.reserve(records_.size());
     for (const FieldRecord& rec : records_) out.push_back(rec.idx);
   }
+  const std::vector<ShiftRecord>& shifts() const { return shifts_; }
+  const std::vector<StealRecord>& steals() const { return steals_; }
 
   // --- rewrite-engine hooks. Single-threaded: the parallel segment update
   // is disabled while a journal is armed. ---
-  void mark_structural() { structural_ = true; }
+  void mark_structural() { ++structural_marks_; }
   void record_field(MessageTemplate& tmpl, std::size_t idx);
+  void record_shift(std::size_t idx, std::uint32_t old_region,
+                    std::uint32_t new_region) {
+    shifts_.push_back(ShiftRecord{static_cast<std::uint32_t>(idx), old_region,
+                                  new_region});
+  }
+  void record_steal(std::size_t idx, std::size_t donor) {
+    steals_.push_back(StealRecord{static_cast<std::uint32_t>(idx),
+                                  static_cast<std::uint32_t>(donor)});
+  }
 
  private:
   struct FieldRecord {
@@ -169,8 +206,10 @@ class UpdateJournal {
   };
 
   bool armed_ = false;
-  bool structural_ = false;
+  std::size_t structural_marks_ = 0;
   std::vector<FieldRecord> records_;
+  std::vector<ShiftRecord> shifts_;
+  std::vector<StealRecord> steals_;
   std::string bytes_;  ///< concatenated pre-rewrite field regions
   std::vector<std::string> strings_;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> dirty_words_;

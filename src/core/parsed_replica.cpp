@@ -65,14 +65,7 @@ Result<ParsedReplica::Lease> ParsedReplica::serve_patch(
     BSOAP_RETURN_IF_ERROR(p.prime_locked(body));
     applied.path = DiffDeserializer::ApplyPath::kFullParse;
   } else {
-    p.run_scratch_.clear();
-    p.run_scratch_.reserve(runs.size());
-    for (const diffwire::PatchRun& run : runs) {
-      p.run_scratch_.push_back(
-          DiffDeserializer::DirtyRun{run.offset, run.length});
-    }
-    Result<DiffDeserializer::ApplyReport> r =
-        p.deser_.apply_runs(body, p.run_scratch_);
+    Result<DiffDeserializer::ApplyReport> r = p.deser_.apply_runs(body, runs);
     if (!r.ok()) {
       p.epoch_valid_ = false;
       return r.error();

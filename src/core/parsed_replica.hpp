@@ -3,10 +3,10 @@
 // A ParsedReplica hangs off a pinned replica as its ReplicaAttachment and
 // fuses the diff-wire state machine with DiffDeserializer: the offer's full
 // body is parsed once, and every subsequent patch re-parses only the leaves
-// its dirty runs touch (header-only replays return the cached call with
-// zero parse work). The patch checksum has already proven that bytes
-// outside the runs equal the pinned body, so the fast path never scans the
-// skeleton.
+// its runs touch, overwrites and splices alike (header-only replays return
+// the cached call with zero parse work). The patch checksum has already
+// proven that the body is the pinned one with the runs applied, so the fast
+// path never scans the skeleton.
 //
 // Concurrency — clone-or-lock. Requests for one replica normally arrive
 // serialized (the epoch chain NACKs concurrent patches at the store), but
@@ -86,7 +86,7 @@ class ParsedReplica final : public diffwire::ReplicaAttachment {
                                   ServeReport* report);
 
   /// Serves a patch request: `body` is the reconstructed replica at
-  /// `epoch`, `runs` its dirty byte spans (empty for a replay). When the
+  /// `epoch`, `runs` the frame's runs (empty for a replay). When the
   /// cached parse is exactly one epoch behind, only touched leaves are
   /// re-parsed; otherwise (attach raced a re-pin, a prior serve failed, a
   /// run hit structural bytes, ...) the request demotes to a full parse.
@@ -111,7 +111,6 @@ class ParsedReplica final : public diffwire::ReplicaAttachment {
 
   std::mutex mu_;
   DiffDeserializer deser_;
-  std::vector<DiffDeserializer::DirtyRun> run_scratch_;  // guarded by mu_
   std::uint32_t epoch_ = 0;
   bool epoch_valid_ = false;  ///< epoch_ matches the parse state
   std::atomic<std::size_t> bytes_{0};

@@ -18,6 +18,23 @@ std::string_view dict_tail(std::string_view body) {
   return body.substr(body.size() - kDictTailBytes);
 }
 
+/// dict_tail of a chunked body, copied into `out`.
+void copy_dict_tail(const buffer::ChunkedBuffer& buf, std::string& out) {
+  std::size_t skip = buf.total_size() > kDictTailBytes
+                         ? buf.total_size() - kDictTailBytes
+                         : 0;
+  out.clear();
+  for (std::size_t i = 0; i < buf.chunk_count(); ++i) {
+    const std::string_view chunk = buf.chunk_view(i);
+    if (skip >= chunk.size()) {
+      skip -= chunk.size();
+      continue;
+    }
+    out.append(chunk.substr(skip));
+    skip = 0;
+  }
+}
+
 /// Times the stages only when an observer is installed: the unobserved hot
 /// path pays no clock reads beyond one at construction.
 class StageClock {
@@ -269,28 +286,53 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
       running += buf.chunk_view(i).size();
     }
 
-    // The journal records every touched field in rewrite order, possibly
-    // with repeats; ascending DUT index is document order, which is
-    // ascending body offset — exactly what run merging wants.
-    journal_->touched_fields(touched_scratch_);
-    std::sort(touched_scratch_.begin(), touched_scratch_.end());
-    touched_scratch_.erase(
-        std::unique(touched_scratch_.begin(), touched_scratch_.end()),
-        touched_scratch_.end());
-
-    for (const std::uint32_t idx : touched_scratch_) {
+    // Every byte the update changed lies in a touched field's final region
+    // or in a steal's span; every shift grew the region of its field. So
+    // the spans, merged in body order, are the runs in new-body offsets,
+    // and a span's growth is the sum of the shifts inside it.
+    const auto abs_of = [&](std::uint32_t idx) {
       const DutEntry& e = tmpl.dut()[idx];
-      const std::uint32_t abs = static_cast<std::uint32_t>(
-          chunk_offsets_[e.pos.chunk] + e.pos.offset);
-      const std::uint32_t len = e.field_width + e.close_tag_len;
-      if (!patch_runs_.empty() &&
-          patch_runs_.back().offset + patch_runs_.back().length == abs) {
-        // Adjacent fields coalesce; read_at crosses chunk boundaries, so a
-        // merged run only needs the first field's position.
-        patch_runs_.back().length += len;
+      return static_cast<std::uint32_t>(chunk_offsets_[e.pos.chunk] +
+                                        e.pos.offset);
+    };
+    const auto region_end = [&](std::uint32_t idx) {
+      const DutEntry& e = tmpl.dut()[idx];
+      return abs_of(idx) + e.field_width + e.close_tag_len;
+    };
+    const auto push_span = [&](std::uint32_t first, std::uint32_t last) {
+      patch_runs_.push_back(PatchRunScratch{abs_of(first), region_end(last), 0,
+                                            tmpl.dut()[first].pos});
+    };
+    journal_->touched_fields(touched_scratch_);
+    for (const std::uint32_t idx : touched_scratch_) push_span(idx, idx);
+    // A steal's span runs from its field to the end of its donor's region.
+    for (const UpdateJournal::StealRecord& st : journal_->steals()) {
+      push_span(st.idx, st.donor);
+    }
+    std::sort(patch_runs_.begin(), patch_runs_.end(),
+              [](const PatchRunScratch& a, const PatchRunScratch& b) {
+                return a.offset < b.offset;
+              });
+    // Adjacent, overlapping and repeated spans coalesce; read_at crosses
+    // chunk boundaries, so a merged run only needs the first span's
+    // position.
+    std::size_t out = 0;
+    for (std::size_t i = 1; i < patch_runs_.size(); ++i) {
+      if (patch_runs_[i].offset <= patch_runs_[out].end) {
+        patch_runs_[out].end =
+            std::max(patch_runs_[out].end, patch_runs_[i].end);
       } else {
-        patch_runs_.push_back(PatchRunScratch{abs, len, e.pos});
+        patch_runs_[++out] = patch_runs_[i];
       }
+    }
+    if (!patch_runs_.empty()) patch_runs_.resize(out + 1);
+    for (const UpdateJournal::ShiftRecord& sh : journal_->shifts()) {
+      PatchRunScratch& run = *std::prev(std::upper_bound(
+          patch_runs_.begin(), patch_runs_.end(), abs_of(sh.idx),
+          [](std::uint32_t at, const PatchRunScratch& r) {
+            return at < r.offset;
+          }));
+      run.growth += sh.new_region - sh.old_region;
     }
   }
 
@@ -309,12 +351,26 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
   diffwire::append_patch_header(patch_buf_, header);
   body_slices_.clear();
   std::size_t total = 0;
+  // Run offsets are in the receiver's (old) body: each run sits earlier by
+  // the growth of the runs before it.
+  const auto append_run_header = [this](const PatchRunScratch& r,
+                                        std::uint32_t growth_before) {
+    const std::uint32_t old_offset = r.offset - growth_before;
+    if (r.growth == 0) {
+      diffwire::append_run_header(patch_buf_, old_offset, r.length());
+    } else {
+      diffwire::append_splice_header(patch_buf_, old_offset, r.length(),
+                                     r.length() - r.growth);
+    }
+  };
+  std::uint32_t growth = 0;
   if (!slice_body) {
     for (const PatchRunScratch& r : patch_runs_) {
-      diffwire::append_run_header(patch_buf_, r.offset, r.length);
+      append_run_header(r, growth);
+      growth += r.growth;
       const std::size_t at = patch_buf_.size();
-      patch_buf_.resize(at + r.length);
-      buf.read_at(r.pos, patch_buf_.data() + at, r.length);
+      patch_buf_.resize(at + r.length());
+      buf.read_at(r.pos, patch_buf_.data() + at, r.length());
     }
     total = patch_buf_.size();
     body_slices_.push_back(
@@ -325,7 +381,8 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
     patch_hdr_ends_.clear();
     patch_hdr_ends_.reserve(patch_runs_.size());
     for (const PatchRunScratch& r : patch_runs_) {
-      diffwire::append_run_header(patch_buf_, r.offset, r.length);
+      append_run_header(r, growth);
+      growth += r.growth;
       patch_hdr_ends_.push_back(patch_buf_.size());
     }
     total = patch_buf_.size();
@@ -340,7 +397,7 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
       prev = patch_hdr_ends_[i];
       std::size_t chunk = r.pos.chunk;
       std::size_t off = r.pos.offset;
-      std::size_t n = r.length;
+      std::size_t n = r.length();
       total += n;
       while (n > 0) {
         const std::string_view view = buf.chunk_view(chunk);
@@ -395,11 +452,12 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
 
   const http::Framer& framing = framer();
 
-  // Diff-wire: decide patch vs full+offer. A patch is sound only when the
-  // receiver's pinned replica still matches byte positions — a content match
-  // always, a perfect structural match only when the armed journal proves
-  // the update moved nothing (the journal's records are then exactly the
-  // dirty runs). Everything else falls back to a full send that re-offers.
+  // Diff-wire: decide patch vs full+offer. A content match always patches
+  // (a header-only replay). A perfect or partial structural match patches
+  // when the armed journal recorded the whole update: its touched fields,
+  // steals and shifts give the overwrite and splice runs. Everything else
+  // (first-time sends, updates without a journal) falls back to a full send
+  // that re-offers.
   std::uint64_t wire_id = 0;
   bool offer = false;
   if (diffwire_ != nullptr && head_kind == HeadKind::kRequest) {
@@ -407,30 +465,15 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
     std::uint32_t epoch = 0;
     const bool patch_safe =
         report->match == MatchKind::kContentMatch ||
-        (report->match == MatchKind::kPerfectStructural &&
-         journal_ != nullptr && journal_->armed() && !journal_->structural());
+        (report->match != MatchKind::kFirstTime && journal_ != nullptr &&
+         journal_->armed() && journal_->patchable());
     if (patch_safe && diffwire_->should_patch(wire_id, &epoch)) {
-      // With preset coding acked, the frame is flattened (no zero-copy
-      // slices) so it can run through the compressor against the pin
-      // generation's dictionary.
-      const bool preset_ready =
-          options_.coding == http::ContentCoding::kDeflatePreset &&
-          diffwire_->coding_ready(wire_id);
-      const bool slice_body =
-          !preset_ready && &framing == &http::content_length_framer();
-      const std::size_t patch_bytes =
-          build_patch_frame(tmpl, wire_id, epoch, report, slice_body);
-      bool coded = false;
-      if (preset_ready) {
-        coded = encode_payload(http::ContentCoding::kDeflatePreset, patch_buf_,
-                               diffwire_->dictionary(wire_id), report);
-        if (coded) {
-          body_slices_.clear();
-          body_slices_.push_back(
-              net::ConstSlice{coded_buf_.data(), coded_buf_.size()});
-        }
-      }
-      const std::size_t payload_bytes = coded ? coded_buf_.size() : patch_bytes;
+      // Patch frames go uncoded: a preset stream indexes its whole
+      // dictionary per frame, which costs more than the frame's few hundred
+      // bytes would save. Preset coding is for full re-offers.
+      const std::size_t payload_bytes = build_patch_frame(
+          tmpl, wire_id, epoch, report,
+          /*slice_body=*/&framing == &http::content_length_framer());
 
       http::HttpRequest head;
       head.method = "POST";
@@ -444,14 +487,6 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
       if (options_.coding != http::ContentCoding::kIdentity) {
         head.headers.push_back(
             http::Header{"Accept-Encoding", "deflate, gzip"});
-      }
-      if (coded) {
-        // A coded body's template ID is unreadable before decoding, so it
-        // rides the header; the server decodes against that pin's dictionary.
-        head.headers.push_back(http::Header{
-            "Content-Encoding", http::coding_name(report->coding)});
-        head.headers.push_back(http::Header{
-            diffwire::kTemplateHeader, diffwire::format_template_id(wire_id)});
       }
       if (dest.extra_headers != nullptr) {
         for (const http::Header& h : *dest.extra_headers) {
@@ -481,6 +516,12 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
       // patch and the sender falls back to a full send.
       diffwire_->note_patch_sent(wire_id, envelope_bytes, payload_bytes,
                                  report->patch_replay);
+      if (!report->patch_replay && diffwire_->coding_ready(wire_id)) {
+        // The server's replica now holds this body, so the next re-offer
+        // compresses against its tail, as it would after an offer.
+        copy_dict_tail(tmpl.buffer(), flat_buf_);
+        diffwire_->set_dictionary(wire_id, flat_buf_);
+      }
       report->envelope_bytes = payload_bytes;
       report->wire_bytes = wire_bytes;
       return Status{};
@@ -493,10 +534,10 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
 
   // Wire compression. dest.coding (the server's per-request Accept-Encoding
   // pick) overrides the configured coding; preset coding only applies to
-  // diff-wire offers (it needs a pinned generation on both sides) and
+  // diff-wire offers (it needs a pinned replica on both sides) and
   // otherwise degrades to identity. A preset offer flattens the body even
-  // before the coding is acked — the flat bytes seed the next generation's
-  // dictionary either way.
+  // before the coding is acked — the flat bytes seed the dictionary either
+  // way.
   http::ContentCoding coding = dest.coding != http::ContentCoding::kIdentity
                                    ? dest.coding
                                    : options_.coding;
@@ -594,8 +635,8 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
   if (offer) {
     diffwire_->note_offer_sent(wire_id);
     if (preset_offer) {
-      // This offer's body is the pin generation the server just (re)pinned:
-      // its tail is the dictionary both sides preset until the next offer.
+      // This offer's body is what the server just (re)pinned: its tail is
+      // the dictionary both sides preset until the next send moves it.
       diffwire_->set_dictionary(wire_id, dict_tail(flat_buf_));
     }
   }

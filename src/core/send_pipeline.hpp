@@ -200,10 +200,10 @@ class SendPipeline {
     http::Framing framing = http::Framing::kContentLength;
     /// Content coding for payloads (kIdentity = none). kGzip/kDeflate
     /// compress every full body; kDeflatePreset additionally presets the
-    /// DEFLATE window from the diff-wire pin generation's bytes, so patch
-    /// frames and structural-fallback re-offers shrink against what the
-    /// receiver already holds (requires a diff-wire session; without one it
-    /// degrades to identity). Every coded send falls back to identity when
+    /// DEFLATE window from the body the diff-wire replica holds, so full
+    /// re-offers shrink against what the receiver already has (requires a
+    /// diff-wire session; without one it degrades to identity). Patch
+    /// frames go uncoded. Every coded send falls back to identity when
     /// compression does not shrink the payload.
     http::ContentCoding coding = http::ContentCoding::kIdentity;
     /// Payloads smaller than this skip compression outright — the coding
@@ -308,8 +308,9 @@ class SendPipeline {
   /// first-time.
   void end_checkout(bool drop);
 
-  /// Gathers the patch frame for a diff-wire patch send (dirty runs from
-  /// the armed journal, or a header-only replay frame) into body_slices_,
+  /// Gathers the patch frame for a diff-wire patch send (overwrite and
+  /// splice runs derived from the armed journal, or a header-only replay
+  /// frame) into body_slices_,
   /// returning the frame's total byte count. With `slice_body` set, only
   /// the patch header and run headers are materialized (in patch_buf_);
   /// each run's bytes are referenced as sub-slices of the template buffer
@@ -352,9 +353,12 @@ class SendPipeline {
   std::string head_text_;
   // Diff-wire patch scratch:
   struct PatchRunScratch {
-    std::uint32_t offset = 0;  ///< absolute offset into the logical body
-    std::uint32_t length = 0;
+    std::uint32_t offset = 0;  ///< absolute offset into the updated body
+    std::uint32_t end = 0;
+    std::uint32_t growth = 0;  ///< bytes the shifts inside the run added
     buffer::BufPos pos;        ///< where the run's bytes start in the buffer
+
+    std::uint32_t length() const { return end - offset; }
   };
   std::string patch_buf_;
   // Wire-compression scratch (reused like the buffers above):

@@ -113,11 +113,12 @@ class ClientSession {
 
   // --- preset wire compression (the second differential layer) -----------
 
-  /// Records the dictionary for `id`'s current pin generation: the tail of
-  /// the full body that went out with the offer, i.e. the bytes the server
-  /// pinned. Both sides preset the DEFLATE window from this generation's
-  /// bytes until the next re-offer replaces it. No-op for an unknown ID
-  /// (call after note_offer_sent).
+  /// Records the dictionary for `id`: the tail of the body that last went
+  /// out under it (an offer, or a patch the server applies to its replica),
+  /// i.e. the bytes the server's replica holds. Both sides preset the
+  /// DEFLATE window from it, so a re-offer compresses against the body the
+  /// server already has. No-op for an unknown ID (call after
+  /// note_offer_sent).
   void set_dictionary(std::uint64_t id, std::string_view dict) {
     const auto it = states_.find(id);
     if (it == states_.end()) return;
@@ -132,15 +133,17 @@ class ClientSession {
   }
 
   /// True when sends under `id` may go out preset-coded: the server acked
-  /// the coding and a pin-generation dictionary is held. A NACK erases the
-  /// entry (note_nack), so a stale dictionary can never outlive its pin.
+  /// the coding and a dictionary is held. A NACK erases the entry
+  /// (note_nack), so a stale dictionary can never outlive its pin; a patch
+  /// the server never applied leaves the two dictionaries apart, and the
+  /// next coded body fails its DICTID check and NACKs.
   bool coding_ready(std::uint64_t id) const {
     const auto it = states_.find(id);
     return it != states_.end() && it->second.coding_acked &&
            !it->second.dict.empty();
   }
 
-  /// The current pin generation's dictionary (empty view when none).
+  /// The current dictionary (empty view when none).
   std::string_view dictionary(std::uint64_t id) const {
     const auto it = states_.find(id);
     return it != states_.end() ? std::string_view(it->second.dict)
@@ -154,8 +157,8 @@ class ClientSession {
   struct Entry {
     State state = State::kOffered;
     std::uint32_t next_epoch = 1;
-    /// Preset-coding state: the pin generation's dictionary bytes and
-    /// whether the server acked the coding. coding_acked survives re-offers
+    /// Preset-coding state: the dictionary bytes and whether the server
+    /// acked the coding. coding_acked survives re-offers
     /// (the server re-acks on every offer response; if its replica is gone
     /// the preset body NACKs and note_nack clears everything).
     std::string dict;

@@ -1,6 +1,7 @@
 #include "diffwire/replica_store.hpp"
 
 #include <cstring>
+#include <optional>
 
 #include "common/poly_hash.hpp"
 #include "compress/deflate.hpp"
@@ -30,6 +31,7 @@ bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
     replica.epoch = 0;
     replica.dict.assign(options_.retain_dictionaries ? dict_tail(body)
                                                      : std::string_view{});
+    replica.dict_id = 0;
     replica.generation = gen;
     replica.attachment.reset();  // it described the replaced body
     replica.attachment_bytes = 0;
@@ -44,7 +46,7 @@ bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
                           options_.retain_dictionaries
                               ? std::string(dict_tail(body))
                               : std::string{},
-                          gen, nullptr, 0});
+                          0, gen, nullptr, 0});
   index_[id] = lru_.begin();
   bytes_ += lru_.front().bytes();
   ++counters_.pins;
@@ -85,7 +87,19 @@ Result<std::string> ReplicaStore::decode_preset(std::uint64_t id,
       ++counters_.nacks;
       return Error{ErrorCode::kNotFound, "template not pinned"};
     }
-    dict = it->second->dict;  // copy: the inflate runs outside the lock
+    // Copies: the inflate runs outside the lock.
+    Replica& replica = *it->second;
+    if (replica.dict_id == 0 && !replica.dict.empty()) {
+      replica.dict_id = compress::adler32(replica.dict);
+    }
+    const std::optional<std::uint32_t> wanted =
+        compress::zlib_dictionary_id(body);
+    if (options_.retain_dictionaries && wanted.has_value() &&
+        *wanted != replica.dict_id) {
+      dict.assign(dict_tail(replica.body));
+    } else {
+      dict = replica.dict;
+    }
   }
   Result<std::string> decoded = compress::zlib_decompress(body, max_output, dict);
   if (decoded.ok()) return decoded;
@@ -115,35 +129,72 @@ Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
                        "epoch " + std::to_string(h.epoch) + " != expected " +
                            std::to_string(replica.epoch + 1));
   }
-  if (h.body_len != replica.body.size()) {
+  const Result<std::size_t> old_len = old_body_length(frame);
+  if (!old_len.ok()) {
+    return nack_locked(it->second, h.template_id, old_len.error().message);
+  }
+  if (old_len.value() != replica.body.size()) {
     return nack_locked(it->second, h.template_id, "body length mismatch");
   }
+  bool resizes = false;
   for (const PatchRun& run : frame.runs) {
-    if (run.length > replica.body.size() ||
-        run.offset > replica.body.size() - run.length) {
-      return nack_locked(it->second, h.template_id, "run out of bounds");
-    }
+    resizes = resizes || run.length != run.old_length();
   }
-  // All runs bounds-checked: apply, then verify before exposing the result.
-  // A hashed replica moves its root by each run's delta against the bytes
-  // it overwrites, taken just before that run's copy, so overlapping and
-  // repeated runs stay exact; the first patch after a pin hashes once.
+  // Overwrite-only frames patch in place; a frame with splices builds the
+  // new body in one pass (old segments and new bytes in order) and swaps it
+  // in. Either way the root moves exactly: each run by the delta of its
+  // bytes, and each unchanged segment past a splice by the change of its
+  // weight r^offset. Segments before the first splice keep their offsets
+  // and are never read, so a splice frame hashes at most the bytes after
+  // its first splice; the first patch after a pin hashes the whole body.
+  if (resizes) {
+    splice_scratch_.clear();
+    splice_scratch_.reserve(h.body_len);
+  }
+  const char* old = replica.body.data();
+  std::uint64_t root = replica.root;
+  std::size_t cursor = 0;  // old-body offset
+  std::ptrdiff_t shift = 0;  // new offset − old offset at the cursor
+  const auto move_segment = [&](std::size_t end) {
+    if (replica.hashed && shift != 0 && end > cursor) {
+      const std::uint64_t seg = poly::hash(old + cursor, end - cursor);
+      root = poly::add(root, poly::move_to(cursor, seg, cursor + shift, seg));
+    }
+    if (resizes) splice_scratch_.append(old + cursor, end - cursor);
+  };
   for (const PatchRun& run : frame.runs) {
-    char* dst = replica.body.data() + run.offset;
+    move_segment(run.offset);
     if (replica.hashed) {
-      replica.root = poly::add(
-          replica.root,
-          poly::move_by(run.offset, poly::hash(dst, run.length),
-                        poly::hash(run.data, run.length)));
+      root = poly::add(
+          root, poly::move_to(run.offset,
+                              poly::hash(old + run.offset, run.old_length()),
+                              run.offset + shift,
+                              poly::hash(run.data, run.length)));
     }
-    std::memcpy(dst, run.data, run.length);
+    if (resizes) {
+      splice_scratch_.append(run.data, run.length);
+    } else {
+      std::memcpy(replica.body.data() + run.offset, run.data, run.length);
+    }
+    cursor = run.offset + run.old_length();
+    shift += static_cast<std::ptrdiff_t>(run.length) -
+             static_cast<std::ptrdiff_t>(run.old_length());
   }
-  if (!replica.hashed) {
+  move_segment(replica.body.size());
+  if (resizes) {
+    bytes_ -= replica.bytes();
+    replica.body.swap(splice_scratch_);
+    bytes_ += replica.bytes();
+  }
+  if (replica.hashed) {
+    replica.root = root;
+  } else {
     replica.root = poly::hash(replica.body);
     replica.hashed = true;
     ++counters_.full_hashes;
   }
 #ifdef BSOAP_DEBUG_INVARIANTS
+  BSOAP_ASSERT(replica.body.size() == h.body_len);
   BSOAP_ASSERT(replica.root == poly::hash(replica.body));
 #endif
   if (replica.root != h.checksum) {
@@ -158,6 +209,7 @@ Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
   lru_.splice(lru_.begin(), lru_, it->second);
   ++counters_.applies;
   if (h.replay() || frame.runs.empty()) ++counters_.replays;
+  if (resizes) enforce_budget_locked();  // never evicts the MRU replica
   return Status{};
 }
 

@@ -4,10 +4,12 @@
 // template ID, kept verbatim so a patch frame reconstructs the sender's
 // current envelope by overwriting dirty runs in place. The store is shared
 // by every worker (blocking pool or reactor dispatch), so one mutex guards
-// the map — a patch apply is short, O(run bytes): each run's memcpy plus
-// the integrity-root delta of the bytes it overwrites (wire_format.hpp);
-// only the first patch after a pin hashes the whole body. Requests for one
-// template arrive serialized per connection anyway.
+// the map — a patch apply is short: an overwrite-only frame costs O(run
+// bytes), each run's memcpy plus the integrity-root delta of the bytes it
+// overwrites (wire_format.hpp); a frame with splices rebuilds the body in
+// one pass and hashes at most the bytes after its first splice. Only the
+// first patch after a pin hashes the whole body. Requests for one template
+// arrive serialized per connection anyway.
 //
 // Every validation failure is a NACK, and a NACK erases the replica: the
 // sender's next send is a full body with a fresh offer, which re-pins at
@@ -17,9 +19,8 @@
 //   unknown ID          the offer was evicted or never arrived
 //   epoch mismatch      a patch was lost, replayed, or another sender
 //                       re-pinned the ID
-//   body_len mismatch   structural drift (should be unreachable: structural
-//                       updates fall back to full sends)
-//   run out of bounds   malformed or mis-matched frame
+//   body_len mismatch   the runs do not turn the replica's length into
+//                       body_len (a frame for another body)
 //   checksum mismatch   any divergence the epoch chain missed
 //
 // Replicas are LRU-bounded by count and bytes, like TemplateStore: a pin
@@ -86,9 +87,9 @@ class ReplicaStore {
   };
 
   /// Applies a decoded patch frame onto the pinned replica: validates ID,
-  /// epoch, body length, run bounds and the body's integrity root (moved
-  /// by each run's delta, hashed from scratch on the first patch after a
-  /// pin), then
+  /// epoch, the length rule (replica length + Σ(new − old) == body_len) and
+  /// the body's integrity root (moved by each run's delta and each moved
+  /// segment's, hashed from scratch on the first patch after a pin), then
   /// copies the reconstructed body into `reconstructed` and advances the
   /// replica's epoch. On any validation failure the replica is erased and
   /// an error describing the NACK reason is returned (kNotFound for an
@@ -108,8 +109,12 @@ class ReplicaStore {
   /// The current attachment of `id` (test/ops hook; null when absent).
   std::shared_ptr<ReplicaAttachment> attachment(std::uint64_t id) const;
 
-  /// Decodes a preset-coded (zlib FDICT) body against `id`'s pin-generation
-  /// dictionary. The dictionary is copied under the lock and the inflate
+  /// Decodes a preset-coded (zlib FDICT) body against one of `id`'s two
+  /// dictionaries, whichever the body's DICTID names: the pin generation's
+  /// (the offer's tail, fixed until the next re-pin), or the tail of the
+  /// replica as it stands after its patches — the last body both sides
+  /// agreed on, which a sender that records the tail after every patch
+  /// codes against. The dictionary is copied under the lock and the inflate
   /// runs outside it, so a large body never stalls other workers. Any
   /// failure — unknown ID (kNotFound), dictionary mismatch, corrupt stream,
   /// `max_output` exceeded — erases the replica and counts a NACK, exactly
@@ -146,10 +151,10 @@ class ReplicaStore {
     std::string body;
     std::uint32_t epoch = 0;
     /// Pin-generation dictionary: the tail (≤ 32 KiB) of the body as it was
-    /// pinned. Fixed until the next re-pin — `body` mutates under patches,
-    /// but both sides preset from the offer-time bytes, so the dictionary
-    /// must not follow.
+    /// pinned. Fixed until the next re-pin, while `body` moves under
+    /// patches; decode_preset serves either.
     std::string dict;
+    std::uint32_t dict_id = 0;  ///< Adler-32 of `dict`, 0 until computed
     /// Monotonic pin counter: attach() refuses stale generations.
     std::uint64_t generation = 0;
     std::shared_ptr<ReplicaAttachment> attachment;
@@ -174,6 +179,9 @@ class ReplicaStore {
   mutable std::mutex mu_;
   std::list<Replica> lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, LruIter> index_;
+  /// A splice frame's new body is built here and swapped with the
+  /// replica's, so the old body's buffer serves the next splice.
+  std::string splice_scratch_;
   std::size_t bytes_ = 0;
   std::uint64_t generation_counter_ = 0;
   Stats counters_;

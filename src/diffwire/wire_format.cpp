@@ -88,6 +88,13 @@ void append_run_header(std::string& out, std::uint32_t offset,
   append_u32(out, length);
 }
 
+void append_splice_header(std::string& out, std::uint32_t offset,
+                          std::uint32_t length, std::uint32_t old_len) {
+  append_u32(out, offset);
+  append_u32(out, length | kSpliceBit);
+  append_u32(out, old_len);
+}
+
 Result<PatchFrame> decode_patch(std::string_view body) {
   if (body.size() < kFrameHeaderSize) {
     return Error{ErrorCode::kProtocolError, "patch frame truncated"};
@@ -119,6 +126,9 @@ Result<PatchFrame> decode_patch(std::string_view body) {
   }
   std::size_t pos = kFrameHeaderSize;
   frame.runs.reserve(frame.header.run_count);
+  // Each run must start at or past the previous run's old end (64-bit: a
+  // u32 offset plus a u32 length cannot overflow).
+  std::uint64_t old_end = 0;
   for (std::uint32_t i = 0; i < frame.header.run_count; ++i) {
     if (body.size() - pos < kRunHeaderSize) {
       return Error{ErrorCode::kProtocolError, "patch run header truncated"};
@@ -127,9 +137,23 @@ Result<PatchFrame> decode_patch(std::string_view body) {
     run.offset = read_u32(p + pos);
     run.length = read_u32(p + pos + 4);
     pos += kRunHeaderSize;
+    if ((run.length & kSpliceBit) != 0) {
+      if (body.size() - pos < kSpliceHeaderSize - kRunHeaderSize) {
+        return Error{ErrorCode::kProtocolError, "patch run header truncated"};
+      }
+      run.length &= ~kSpliceBit;
+      run.splice = true;
+      run.spliced_len = read_u32(p + pos);
+      pos += kSpliceHeaderSize - kRunHeaderSize;
+    }
     if (body.size() - pos < run.length) {
       return Error{ErrorCode::kProtocolError, "patch run payload truncated"};
     }
+    if (run.offset < old_end) {
+      return Error{ErrorCode::kProtocolError,
+                   "patch runs overlap or are out of order"};
+    }
+    old_end = std::uint64_t{run.offset} + run.old_length();
     run.data = p + pos;
     pos += run.length;
     frame.runs.push_back(run);
@@ -139,6 +163,26 @@ Result<PatchFrame> decode_patch(std::string_view body) {
                  "patch frame has trailing bytes"};
   }
   return frame;
+}
+
+Result<std::size_t> old_body_length(const PatchFrame& frame) {
+  std::uint64_t old_end = 0;
+  std::int64_t growth = 0;
+  for (const PatchRun& run : frame.runs) {
+    if (run.offset < old_end) {
+      return Error{ErrorCode::kProtocolError,
+                   "patch runs overlap or are out of order"};
+    }
+    old_end = std::uint64_t{run.offset} + run.old_length();
+    growth += static_cast<std::int64_t>(run.length) -
+              static_cast<std::int64_t>(run.old_length());
+  }
+  const std::int64_t old_len =
+      static_cast<std::int64_t>(frame.header.body_len) - growth;
+  if (old_len < 0 || static_cast<std::uint64_t>(old_len) < old_end) {
+    return Error{ErrorCode::kProtocolError, "run out of bounds"};
+  }
+  return static_cast<std::size_t>(old_len);
 }
 
 std::string render_nack_response(std::uint64_t template_id,

@@ -29,10 +29,10 @@ std::string serialize(const RpcCall& call) {
 /// Byte-diffs two same-length documents into dirty runs, merging runs whose
 /// gap of unchanged (structural) bytes is at most `merge_gap` — the shape
 /// SendPipeline::build_patch_frame produces when adjacent fields change.
-std::vector<DiffDeserializer::DirtyRun> byte_diff_runs(std::string_view old_doc,
-                                                       std::string_view fresh,
-                                                       std::size_t merge_gap) {
-  std::vector<DiffDeserializer::DirtyRun> runs;
+std::vector<diffwire::PatchRun> byte_diff_runs(std::string_view old_doc,
+                                               std::string_view fresh,
+                                               std::size_t merge_gap) {
+  std::vector<diffwire::PatchRun> runs;
   std::size_t i = 0;
   while (i < old_doc.size()) {
     if (old_doc[i] == fresh[i]) {
@@ -43,9 +43,10 @@ std::vector<DiffDeserializer::DirtyRun> byte_diff_runs(std::string_view old_doc,
     while (i < old_doc.size() && old_doc[i] != fresh[i]) ++i;
     if (!runs.empty() &&
         begin - (runs.back().offset + runs.back().length) <= merge_gap) {
-      runs.back().length = i - runs.back().offset;
+      runs.back().length = static_cast<std::uint32_t>(i - runs.back().offset);
     } else {
-      runs.push_back(DiffDeserializer::DirtyRun{begin, i - begin});
+      runs.push_back(diffwire::PatchRun{static_cast<std::uint32_t>(begin),
+                                        static_cast<std::uint32_t>(i - begin)});
     }
   }
   return runs;
@@ -239,7 +240,8 @@ TEST(DiffDeserializerApplyRuns, RunCoveringCloseTagFastParses) {
   auto runs = byte_diff_runs(doc, fresh, 18);
   ASSERT_EQ(runs.size(), 1u);
   // Widen the run over the close tag and into the next open tag.
-  runs[0].length = std::min(runs[0].length + 12, fresh.size() - runs[0].offset);
+  runs[0].length = static_cast<std::uint32_t>(std::min<std::size_t>(
+      runs[0].length + 12, fresh.size() - runs[0].offset));
 
   Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(fresh, runs);
   ASSERT_TRUE(report.ok());
@@ -370,9 +372,9 @@ TEST(DiffDeserializerApplyRuns, UnprimedFallsBackToFullParse) {
   DiffDeserializer deser;
   const std::string doc = serialize(
       soap::make_double_array_call(soap::doubles_with_serialized_length(6, 18, 51)));
-  const DiffDeserializer::DirtyRun run{0, 1};
-  Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(
-      doc, std::span<const DiffDeserializer::DirtyRun>(&run, 1));
+  const diffwire::PatchRun run{0, 1};
+  Result<DiffDeserializer::ApplyReport> report =
+      deser.apply_runs(doc, std::span<const diffwire::PatchRun>(&run, 1));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
   EXPECT_FALSE(report.value().demoted);

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,6 +22,7 @@
 #include "common/poly_hash.hpp"
 #include "common/rng.hpp"
 #include "core/client.hpp"
+#include "core/parsed_replica.hpp"
 #include "core/send_pipeline.hpp"
 #include "diffwire/replica_store.hpp"
 #include "diffwire/wire_format.hpp"
@@ -29,7 +32,9 @@
 #include "net/tcp.hpp"
 #include "server/reactor.hpp"
 #include "server/server_runtime.hpp"
+#include "soap/envelope_reader.hpp"
 #include "soap/workload.hpp"
+#include "typed_array_docs.hpp"
 
 namespace bsoap::diffwire {
 namespace {
@@ -404,7 +409,14 @@ TEST(DiffWirePipeline, PatchSendsReconstructByteIdentical) {
   EXPECT_GT(stats.bytes_saved, 0u);
 }
 
-TEST(DiffWirePipeline, StructuralUpdateFallsBackToFullSendAndReoffers) {
+/// The template's current body.
+std::string template_body(core::SendPipeline& pipeline, const RpcCall& call) {
+  core::MessageTemplate* tmpl =
+      pipeline.store().find(call.structure_signature());
+  return tmpl == nullptr ? std::string{} : tmpl->buffer().linearize();
+}
+
+TEST(DiffWirePipeline, PartialStructuralUpdateTravelsAsSplicePatch) {
   core::SendPipeline::Options options;  // exact stuffing: growth must shift
   core::SendPipeline pipeline(options);
   core::UpdateJournal journal;
@@ -417,19 +429,59 @@ TEST(DiffWirePipeline, StructuralUpdateFallsBackToFullSendAndReoffers) {
       pipeline, soap::make_double_array_call(values));
   const std::uint64_t wire_id = session.wire_id(
       soap::make_double_array_call(values).structure_signature());
+  ReplicaStore store;
+  store.pin(wire_id, parse_bytewise(wire1).body);
   session.note_ack(wire_id);
 
-  // A longer value outgrows its exact-width field: the update is
-  // structural, so the send must NOT go out as a patch.
+  // A longer value outgrows its exact-width field: a partial structural
+  // match, which travels as a splice run instead of a re-offer.
+  values[1] = 2.000000000000004;
+  const RpcCall call2 = soap::make_double_array_call(values);
+  auto [wire2, report2] = capture_send(pipeline, call2);
+  EXPECT_EQ(report2.match, core::MatchKind::kPartialStructural);
+  EXPECT_TRUE(report2.patch_send);
+  http::HttpRequest request = parse_bytewise(wire2);
+  ASSERT_NE(request.find(kDiffHeader), nullptr);
+  EXPECT_EQ(request.find(kDiffHeader)->value, kPatchValue);
+  EXPECT_EQ(request.find("Content-Encoding"), nullptr);
+  Result<PatchFrame> frame = decode_patch(request.body);
+  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+  ASSERT_EQ(frame.value().runs.size(), 1u);
+  EXPECT_TRUE(frame.value().runs[0].splice);
+  EXPECT_GT(frame.value().runs[0].length, frame.value().runs[0].old_length());
+
+  std::string reconstructed;
+  const Status applied = store.apply(frame.value(), &reconstructed);
+  ASSERT_TRUE(applied.ok()) << applied.error().to_string();
+  EXPECT_EQ(reconstructed, template_body(pipeline, call2));
+  Result<RpcCall> parsed = soap::read_rpc_envelope(reconstructed);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().params[0].value.doubles(), values);
+  EXPECT_EQ(session.stats().offers_sent, 1u);
+  EXPECT_EQ(session.stats().patch_sends, 1u);
+}
+
+TEST(DiffWirePipeline, PartialStructuralUpdateWithoutJournalReoffers) {
+  // Without an armed journal nothing records the shifts, so a partial
+  // structural match cannot be described as runs: it re-offers.
+  core::SendPipeline::Options options;
+  core::SendPipeline pipeline(options);
+  ClientSession session(/*token=*/12);
+  pipeline.set_diffwire(&session);
+
+  std::vector<double> values{1.0, 2.0, 3.0};
+  capture_send(pipeline, soap::make_double_array_call(values));
+  session.note_ack(session.wire_id(
+      soap::make_double_array_call(values).structure_signature()));
   values[1] = 2.000000000000004;
   auto [wire2, report2] = capture_send(
       pipeline, soap::make_double_array_call(values));
+  EXPECT_EQ(report2.match, core::MatchKind::kPartialStructural);
   EXPECT_FALSE(report2.patch_send);
   http::HttpRequest request = parse_bytewise(wire2);
   ASSERT_NE(request.find(kDiffHeader), nullptr);
-  EXPECT_EQ(request.find(kDiffHeader)->value, kOfferValue);  // re-offers
+  EXPECT_EQ(request.find(kDiffHeader)->value, kOfferValue);
   EXPECT_EQ(session.stats().offers_sent, 2u);
-  EXPECT_EQ(session.stats().patch_sends, 0u);
 }
 
 // --- end-to-end ------------------------------------------------------------
@@ -783,6 +835,178 @@ TEST(DiffWireEndToEnd, EightWorkerStress) {
   EXPECT_EQ(stats.patch_nacks, 0u);
   EXPECT_EQ(stats.faults, 0u);
   server.value()->stop();
+}
+
+// --- seeded splice model ---------------------------------------------------
+
+/// A value of `width` characters (1..24), or one of the special values.
+double model_value(bsoap::Rng& rng) {
+  switch (rng.next_below(12)) {
+    case 0: return std::numeric_limits<double>::quiet_NaN();
+    case 1: return -0.0;
+    case 2: return std::numeric_limits<double>::infinity();
+    case 3: return -std::numeric_limits<double>::infinity();
+    default:
+      return soap::double_with_serialized_length(
+          rng, 1 + static_cast<int>(rng.next_below(24)));
+  }
+}
+
+/// Parses a request written in one piece.
+http::HttpRequest parse_request(const std::string& wire) {
+  http::RequestParser parser;
+  const Status fed = parser.feed(wire.data(), wire.size());
+  EXPECT_TRUE(fed.ok()) << fed.error().to_string();
+  EXPECT_TRUE(parser.done());
+  return parser.take();
+}
+
+TEST(DiffWireSpliceModel, SeededUpdateSequencesKeepReplicaParseAndRootsExact) {
+  // A client template driven through seeded update sequences (widen,
+  // narrow, steal, chunk slack, realloc and split; widths 1–24, NaN, -0.0,
+  // ±inf), every send applied to a ReplicaStore and a ParsedReplica the
+  // way the server does. After every step:
+  //   1. the replica bytes equal the client template bytes;
+  //   2. the client's root and the replica's (which the frame's checksum
+  //      had to match) equal poly::hash of the body from scratch;
+  //   3. the served call equals read_rpc_envelope of the replica, and its
+  //      values are the sent ones, bit for bit;
+  //   4. every applied patch is exactly one of content hit, fast parse or
+  //      full parse, with no demotions and no NACKs.
+  std::size_t splice_frames = 0;
+  core::TemplateStats shapes;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    bsoap::Rng rng(seed * 7919);
+    core::SendPipeline::Options options;  // exact stuffing: growth shifts
+    if (seed % 2 == 0) {
+      // Small chunks: expansions use slack and either reallocate (a high
+      // split threshold) or split (one below the chunk size).
+      options.tmpl.chunk.chunk_size = 256;
+      options.tmpl.chunk.split_threshold = seed % 4 == 0 ? 200 : 4096;
+      options.tmpl.chunk.tail_reserve = 16;
+    }
+    options.tmpl.enable_stealing = seed % 3 != 0;
+    options.tmpl.bulk.parallel_min_leaves = SIZE_MAX;
+    core::SendPipeline pipeline(options);
+    core::UpdateJournal journal;
+    pipeline.set_journal(&journal);
+    ClientSession session(/*token=*/seed);
+    pipeline.set_diffwire(&session);
+    ReplicaStore store;
+    std::shared_ptr<core::ParsedReplica> parsed;
+
+    const bool mio = seed % 4 == 1;
+    std::vector<double> values(20 + rng.next_below(120));
+    for (double& v : values) v = model_value(rng);
+    std::vector<soap::Mio> mios =
+        soap::random_mios(values.size() / 3 + 1, seed);
+    std::size_t counted[3] = {0, 0, 0};
+    std::size_t patches = 0;
+    std::size_t offers = 0;
+
+    for (int step = 0; step < 40; ++step) {
+      const std::size_t changes = rng.next_below(6);
+      for (std::size_t k = 0; k < changes; ++k) {
+        if (mio) {
+          soap::Mio& m = mios[rng.next_below(mios.size())];
+          switch (rng.next_below(3)) {
+            case 0: m.x = static_cast<std::int32_t>(rng.next_u64()) >>
+                          rng.next_below(31); break;
+            case 1: m.y = static_cast<std::int32_t>(rng.next_below(10)); break;
+            default: m.value = model_value(rng); break;
+          }
+        } else {
+          values[rng.next_below(values.size())] = model_value(rng);
+        }
+      }
+      const RpcCall call = mio ? soap::make_mio_array_call(mios)
+                               : soap::make_double_array_call(values);
+      if (rng.chance(1, 25)) {
+        if (const core::MessageTemplate* dropped =
+                pipeline.store().find(call.structure_signature())) {
+          shapes.add(dropped->stats());
+        }
+        pipeline.store().erase(call.structure_signature());
+      }
+      auto [wire, report] = capture_send(pipeline, call);
+      core::MessageTemplate* tmpl =
+          pipeline.store().find(call.structure_signature());
+      ASSERT_NE(tmpl, nullptr);
+      const std::string body = tmpl->buffer().linearize();
+      ASSERT_EQ(tmpl->buffer().root(), poly::hash(body));  // oracle 2
+
+      const http::HttpRequest request = parse_request(wire);
+      const std::uint64_t wire_id = session.wire_id(call.structure_signature());
+      std::string replica;
+      Result<core::ParsedReplica::Lease> served =
+          Error{ErrorCode::kInternal, "not served"};
+      core::ParsedReplica::ServeReport serve_report;
+      if (report.patch_send) {
+        Result<PatchFrame> frame = decode_patch(request.body);
+        ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+        for (const PatchRun& run : frame.value().runs) {
+          splice_frames += run.splice;
+        }
+        ReplicaStore::ApplyInfo info;
+        const Status applied = store.apply(frame.value(), &replica, &info);
+        ASSERT_TRUE(applied.ok())
+            << "seed " << seed << " step " << step << ": "
+            << applied.error().to_string();
+        ASSERT_EQ(info.attachment, parsed);
+        served = core::ParsedReplica::serve_patch(
+            parsed, replica, frame.value().header.epoch, frame.value().runs,
+            &serve_report);
+        ++patches;
+        ++counted[static_cast<int>(serve_report.path)];
+        EXPECT_FALSE(serve_report.demoted)
+            << "seed " << seed << " step " << step;
+        if (frame.value().runs.empty()) {
+          EXPECT_EQ(serve_report.path,
+                    core::DiffDeserializer::ApplyPath::kContentHit);
+        } else {
+          EXPECT_EQ(serve_report.path,
+                    core::DiffDeserializer::ApplyPath::kFastParse);
+        }
+      } else {
+        ASSERT_NE(request.find(kDiffHeader), nullptr);
+        ASSERT_EQ(request.find(kDiffHeader)->value, kOfferValue);
+        replica = request.body;
+        std::uint64_t generation = 0;
+        store.pin(wire_id, replica, &generation);
+        parsed = std::make_shared<core::ParsedReplica>();
+        served = core::ParsedReplica::serve_full(parsed, replica, 0,
+                                                 &serve_report);
+        ASSERT_TRUE(store.attach(wire_id, generation, parsed));
+        session.note_ack(wire_id);
+        ++offers;
+      }
+      ASSERT_EQ(replica, body) << "seed " << seed << " step " << step;  // 1
+      ASSERT_TRUE(served.ok()) << served.error().to_string();
+      Result<RpcCall> full = soap::read_rpc_envelope(replica);  // oracle 3
+      ASSERT_TRUE(full.ok());
+      ASSERT_TRUE(testing::bit_equal(served.value().call(), full.value()))
+          << "seed " << seed << " step " << step;
+      ASSERT_TRUE(testing::bit_equal(served.value().call(), call))
+          << "seed " << seed << " step " << step;
+    }
+    // Oracle 4: one path per applied patch, nothing NACKed.
+    EXPECT_EQ(counted[0] + counted[1] + counted[2], patches);
+    EXPECT_EQ(store.stats().applies, patches);
+    EXPECT_EQ(store.stats().nacks, 0u);
+    EXPECT_EQ(store.stats().pins + store.stats().repins, offers);
+    EXPECT_GT(patches, offers) << "seed " << seed;
+    const core::MessageTemplate* tmpl = pipeline.store().find(
+        (mio ? soap::make_mio_array_call(mios)
+             : soap::make_double_array_call(values))
+            .structure_signature());
+    if (tmpl != nullptr) shapes.add(tmpl->stats());
+  }
+  // The seeds reach every update shape the splice path must carry.
+  EXPECT_GT(splice_frames, 100u);
+  EXPECT_GT(shapes.steals, 0u);
+  EXPECT_GT(shapes.chunk_shifts, 0u);
+  EXPECT_GT(shapes.chunk_reallocs, 0u);
+  EXPECT_GT(shapes.chunk_splits, 0u);
 }
 
 }  // namespace

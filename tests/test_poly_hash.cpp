@@ -387,29 +387,70 @@ diffwire::PatchFrame make_frame(
   return frame;
 }
 
-TEST(ReplicaRoot, OverlappingRepeatedAndZeroLengthRunsStayExact) {
+/// One run of a frame under test: `old_len` bytes at `offset` in the old
+/// body become `bytes` (a splice when the lengths differ).
+struct SpliceSpec {
+  std::uint32_t offset;
+  std::uint32_t old_len;
+  std::string bytes;
+};
+
+/// Applies sorted, disjoint `runs` to `body` the way a receiver
+/// reconstructs, and returns the frame carrying them (its run data points
+/// into `runs`).
+diffwire::PatchFrame make_splice_frame(std::uint32_t epoch, std::string& body,
+                                       const std::vector<SpliceSpec>& runs) {
+  diffwire::PatchFrame frame;
+  frame.header.template_id = 1;
+  frame.header.epoch = epoch;
+  std::string next;
+  std::size_t cursor = 0;
+  for (const SpliceSpec& run : runs) {
+    const auto length = static_cast<std::uint32_t>(run.bytes.size());
+    frame.runs.push_back(diffwire::PatchRun{run.offset, length,
+                                            run.bytes.data(),
+                                            length != run.old_len,
+                                            run.old_len});
+    next.append(body, cursor, run.offset - cursor);
+    next += run.bytes;
+    cursor = run.offset + run.old_len;
+  }
+  next.append(body, cursor);
+  body = std::move(next);
+  frame.header.body_len = static_cast<std::uint32_t>(body.size());
+  frame.header.run_count = static_cast<std::uint32_t>(frame.runs.size());
+  frame.header.checksum = poly::hash(body);
+  return frame;
+}
+
+TEST(ReplicaRoot, SortedOverwriteAndSpliceRunsStayExact) {
+  // Overwrites, splices that grow, shrink, insert and delete, and
+  // zero-length runs, in one sorted frame: the maintained root must equal
+  // the hash from scratch (the frame's checksum) after every apply.
   Rng rng(12);
   std::string body = random_bytes(rng, 10000);
   diffwire::ReplicaStore store;
   store.pin(1, body);
   for (std::uint32_t epoch = 1; epoch <= 30; ++epoch) {
-    std::vector<std::pair<std::uint32_t, std::string>> runs;
-    for (int k = 0; k < 12; ++k) {
-      const auto offset =
-          static_cast<std::uint32_t>(rng.next_below(body.size()));
-      const std::size_t len = rng.next_below(
-          std::min<std::size_t>(body.size() - offset, 60) + 1);
-      runs.emplace_back(offset, random_bytes(rng, len));
-      if (rng.chance(1, 3)) {  // the same region again, other bytes
-        runs.emplace_back(offset, random_bytes(rng, len));
+    std::vector<SpliceSpec> runs;
+    std::size_t at = rng.next_below(200);
+    while (at < body.size()) {
+      const auto old_len = static_cast<std::uint32_t>(
+          rng.next_below(std::min<std::size_t>(body.size() - at, 60) + 1));
+      std::size_t new_len = old_len;
+      switch (rng.next_below(4)) {
+        case 0: new_len = old_len + rng.next_below(30); break;  // grow
+        case 1: new_len = rng.next_below(old_len + 1); break;   // shrink
+        default: break;                                         // overwrite
       }
-      if (rng.chance(1, 3) && len > 1) {  // overlapping the tail
-        runs.emplace_back(offset + static_cast<std::uint32_t>(len / 2),
-                          random_bytes(rng, len - len / 2));
-      }
+      runs.push_back(SpliceSpec{static_cast<std::uint32_t>(at), old_len,
+                                random_bytes(rng, new_len)});
+      at += old_len + rng.next_below(1500);
     }
-    runs.emplace_back(static_cast<std::uint32_t>(body.size()), std::string{});
-    const diffwire::PatchFrame frame = make_frame(epoch, body, runs);
+    runs.push_back(SpliceSpec{static_cast<std::uint32_t>(body.size()), 0,
+                              rng.chance(1, 2) ? random_bytes(rng, 7)
+                                               : std::string{}});
+    const diffwire::PatchFrame frame = make_splice_frame(epoch, body, runs);
     std::string reconstructed;
     const Status applied = store.apply(frame, &reconstructed);
     ASSERT_TRUE(applied.ok()) << applied.error().to_string();
@@ -433,6 +474,34 @@ TEST(ReplicaRoot, OverlappingRepeatedAndZeroLengthRunsStayExact) {
   ASSERT_FALSE(nacked.ok());
   EXPECT_EQ(nacked.error().message, "checksum mismatch");
   EXPECT_EQ(store.stats().pinned_replicas, 0u);
+}
+
+TEST(ReplicaRoot, OverlappingOrRepeatedRunsNack) {
+  // Version 3 runs are sorted and disjoint in old-body offsets: a repeated
+  // or overlapping run is a malformed frame, whatever its checksum says.
+  Rng rng(14);
+  for (const std::uint32_t second : {10u, 12u, 5u}) {
+    std::string body = random_bytes(rng, 100);
+    diffwire::ReplicaStore store;
+    store.pin(1, body);
+    const std::string a = random_bytes(rng, 5);
+    const std::string b = random_bytes(rng, 5);
+    diffwire::PatchFrame frame;
+    frame.header.template_id = 1;
+    frame.header.epoch = 1;
+    frame.header.body_len = 100;
+    frame.runs = {diffwire::PatchRun{10, 5, a.data()},
+                  diffwire::PatchRun{second, 5, b.data()}};
+    frame.header.run_count = 2;
+    std::string expected = body;
+    expected.replace(10, 5, a);
+    expected.replace(second, 5, b);
+    frame.header.checksum = poly::hash(expected);
+    std::string reconstructed;
+    const Status applied = store.apply(frame, &reconstructed);
+    ASSERT_FALSE(applied.ok()) << second;
+    EXPECT_EQ(store.stats().pinned_replicas, 0u);
+  }
 }
 
 TEST(ReplicaRoot, RepinStartsFromScratchOnce) {

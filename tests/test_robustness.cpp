@@ -178,7 +178,8 @@ TEST(RobustnessFuzz, WsdlParserSurvivesMutation) {
   EXPECT_TRUE(wsdl::parse_wsdl(valid).ok());
 }
 
-/// A valid diff-wire patch frame: `runs` runs of 1..16 bytes each.
+/// A valid diff-wire patch frame: `runs` runs of 1..16 bytes each, about a
+/// third of them splices.
 std::string valid_patch_frame(Rng& rng, std::uint32_t runs) {
   diffwire::PatchHeader header;
   header.template_id = rng.next_u64();
@@ -192,11 +193,17 @@ std::string valid_patch_frame(Rng& rng, std::uint32_t runs) {
   for (std::uint32_t r = 0; r < runs; ++r) {
     const auto length = static_cast<std::uint32_t>(1 + rng.next_below(16));
     offset += static_cast<std::uint32_t>(rng.next_below(64));
-    diffwire::append_run_header(frame, offset, length);
+    std::uint32_t old_len = length;
+    if (rng.chance(1, 3)) {
+      old_len = static_cast<std::uint32_t>(rng.next_below(24));
+      diffwire::append_splice_header(frame, offset, length, old_len);
+    } else {
+      diffwire::append_run_header(frame, offset, length);
+    }
     for (std::uint32_t i = 0; i < length; ++i) {
       frame += static_cast<char>('a' + rng.next_below(26));
     }
-    offset += length;
+    offset += old_len;
   }
   return frame;
 }
@@ -211,17 +218,23 @@ void overwrite_u32(std::string& frame, std::size_t at, std::uint32_t v) {
 
 /// decode_patch must return a frame or an error. A decoded frame must
 /// account for every byte of the body: run headers plus run payloads, each
-/// payload inside the body.
+/// payload inside the body, the runs sorted and disjoint in old-body
+/// offsets.
 void check_decode_patch(const std::string& frame) {
   Result<diffwire::PatchFrame> decoded = diffwire::decode_patch(frame);
   if (!decoded.ok()) return;
   const diffwire::PatchFrame& f = decoded.value();
   ASSERT_EQ(f.runs.size(), f.header.run_count);
   std::size_t covered = diffwire::kFrameHeaderSize;
+  std::uint64_t old_end = 0;
   for (const diffwire::PatchRun& run : f.runs) {
-    covered += diffwire::kRunHeaderSize + run.length;
+    covered += (run.splice ? diffwire::kSpliceHeaderSize
+                           : diffwire::kRunHeaderSize) +
+               run.length;
     ASSERT_GE(run.data, frame.data());
     ASSERT_LE(run.data + run.length, frame.data() + frame.size());
+    ASSERT_GE(run.offset, old_end);
+    old_end = std::uint64_t{run.offset} + run.old_length();
   }
   EXPECT_EQ(covered, frame.size());
 }
@@ -449,7 +462,8 @@ std::string run_bytes(Rng& rng, std::size_t n) {
 TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
   // Drives ReplicaStore::apply and ParsedReplica the way the server does,
   // with adversarial frames: random and out-of-bounds offsets and lengths,
-  // overlapping runs, wrong epochs, lengths and roots. Every apply returns
+  // splices, overlapping and unsorted runs, wrong epochs, lengths and
+  // roots. Every apply returns
   // ok or a NACK; every served call equals a full parse of the replica
   // bytes, and a serve fails only where the full parse fails too.
   Rng rng(1012);
@@ -481,16 +495,17 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
 
   for (int round = 0; round < 2000; ++round) {
     if (rng.chance(1, 40)) pin_fresh();
-    std::string expected = model;
-    std::vector<std::string> payloads;
-    payloads.reserve(8);  // runs point into these strings
-    std::vector<diffwire::PatchRun> runs;
-    bool in_bounds = true;
+    struct Spec {
+      std::uint32_t offset;
+      std::uint32_t old_len;
+      std::string bytes;
+    };
+    std::vector<Spec> specs;
     const std::size_t run_count = rng.next_below(8);
     for (std::size_t r = 0; r < run_count; ++r) {
       std::uint32_t offset = 0;
       std::uint32_t length = 0;
-      switch (rng.next_below(6)) {
+      switch (rng.next_below(7)) {
         case 0:  // anywhere, any length up to the body
           offset = static_cast<std::uint32_t>(rng.next_below(model.size() + 1));
           length = static_cast<std::uint32_t>(
@@ -503,8 +518,8 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
           if (rng.chance(1, 2)) length = 0u - offset + length;
           break;
         case 2:  // overlapping the previous run
-          if (!runs.empty()) {
-            offset = runs.back().offset + runs.back().length / 2;
+          if (!specs.empty()) {
+            offset = specs.back().offset + specs.back().old_len / 2;
             length = static_cast<std::uint32_t>(rng.next_below(24));
             break;
           }
@@ -514,45 +529,87 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
           length = static_cast<std::uint32_t>(rng.next_below(
               std::min<std::size_t>(model.size() - offset, 24) + 1));
           break;
+        case 4: {  // a splice inside the body: up to 24 bytes become 0..24
+          offset = static_cast<std::uint32_t>(rng.next_below(model.size()));
+          const auto old_len = static_cast<std::uint32_t>(rng.next_below(
+              std::min<std::size_t>(model.size() - offset, 24) + 1));
+          specs.push_back(Spec{offset, old_len,
+                               run_bytes(rng, rng.next_below(25))});
+          continue;
+        }
         default: {  // digits over digits: the value text stays a number
           offset = static_cast<std::uint32_t>(rng.next_below(model.size()));
-          while (length < 8 && offset + length < expected.size() &&
-                 expected[offset + length] >= '0' &&
-                 expected[offset + length] <= '9') {
+          while (length < 8 && offset + length < model.size() &&
+                 model[offset + length] >= '0' &&
+                 model[offset + length] <= '9') {
             ++length;
           }
           std::string digits(length, '0');
           for (char& c : digits) {
             c = static_cast<char>('0' + rng.next_below(10));
           }
-          payloads.push_back(std::move(digits));
-          expected.replace(offset, length, payloads.back());
-          runs.push_back(
-              diffwire::PatchRun{offset, length, payloads.back().data()});
+          specs.push_back(Spec{offset, length, std::move(digits)});
           continue;
         }
       }
       const bool fits =
           length <= model.size() && offset <= model.size() - length;
-      in_bounds = in_bounds && fits;
       // An out-of-bounds run carries a short payload: apply must reject it
       // on its header fields before touching a byte.
-      payloads.push_back(
-          run_bytes(rng, fits ? length : std::min<std::uint32_t>(length, 64)));
-      if (fits) expected.replace(offset, length, payloads.back());
-      runs.push_back(
-          diffwire::PatchRun{offset, length, payloads.back().data()});
+      specs.push_back(Spec{offset, length,
+                           run_bytes(rng, fits ? length
+                                               : std::min<std::uint32_t>(
+                                                     length, 64))});
     }
+    if (rng.chance(4, 5)) {
+      // Mostly well-formed: sorted, overlaps dropped. The rest stay as
+      // drawn (out of order, overlapping) and must NACK.
+      std::sort(specs.begin(), specs.end(),
+                [](const Spec& a, const Spec& b) {
+                  return a.offset < b.offset;
+                });
+      std::vector<Spec> kept;
+      std::uint64_t end = 0;
+      for (Spec& spec : specs) {
+        if (spec.offset < end) continue;
+        end = std::uint64_t{spec.offset} + spec.old_len;
+        kept.push_back(std::move(spec));
+      }
+      specs = std::move(kept);
+    }
+    // The body the frame describes, when its runs are sorted, disjoint and
+    // inside the replica.
+    std::string expected;
+    bool well_formed = true;
+    std::uint64_t cursor = 0;
+    for (const Spec& spec : specs) {
+      if (spec.offset < cursor ||
+          std::uint64_t{spec.offset} + spec.old_len > model.size()) {
+        well_formed = false;
+        break;
+      }
+      expected.append(model, cursor, spec.offset - cursor);
+      expected += spec.bytes;
+      cursor = std::uint64_t{spec.offset} + spec.old_len;
+    }
+    if (well_formed) expected.append(model, cursor);
 
     diffwire::PatchFrame frame;
+    for (const Spec& spec : specs) {
+      const auto length = static_cast<std::uint32_t>(spec.bytes.size());
+      frame.runs.push_back(diffwire::PatchRun{spec.offset, length,
+                                              spec.bytes.data(),
+                                              length != spec.old_len,
+                                              spec.old_len});
+    }
+    const bool wrong_length = rng.chance(1, 20);
     frame.header.template_id = kId;
     frame.header.epoch = rng.chance(1, 20) ? epoch + 2 : epoch + 1;
     frame.header.body_len = static_cast<std::uint32_t>(
-        rng.chance(1, 20) ? model.size() + 1 : model.size());
-    frame.header.run_count = static_cast<std::uint32_t>(runs.size());
+        (well_formed ? expected.size() : model.size()) + wrong_length);
+    frame.header.run_count = static_cast<std::uint32_t>(frame.runs.size());
     frame.header.checksum = rng.chance(1, 10) ? rng.next_below(poly::kModulus)
                                               : poly::hash(expected);
-    frame.runs = runs;
 
     std::string reconstructed;
     diffwire::ReplicaStore::ApplyInfo info;
@@ -563,7 +620,7 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
       pin_fresh();
       continue;
     }
-    ASSERT_TRUE(in_bounds);
+    ASSERT_TRUE(well_formed && !wrong_length);
     ASSERT_EQ(reconstructed, expected);
     model = expected;
     epoch = frame.header.epoch;
@@ -599,6 +656,91 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
   EXPECT_GT(applied, 200u);
   EXPECT_GT(served_fast, 50u);
   EXPECT_GT(store.stats().nacks, 100u);
+}
+
+TEST(RobustnessFuzz, MutatedSpliceFramesNackAndNeverCrash) {
+  // Well-formed splice frames against a pinned replica, and the same
+  // frames mutated: runs out of order, a run overlapping its predecessor,
+  // body_len off by one, a huge old_len. The unmutated frame applies
+  // exactly; every mutant is refused by decode_patch or NACKed by apply.
+  Rng rng(1013);
+  for (int round = 0; round < 400; ++round) {
+    const std::string body = run_bytes(rng, 200 + rng.next_below(300));
+    struct Spec {
+      std::uint32_t offset;
+      std::uint32_t old_len;
+      std::string bytes;
+    };
+    std::vector<Spec> specs;
+    const std::size_t want = 2 + rng.next_below(4);
+    std::size_t at = rng.next_below(20);
+    while (specs.size() < want && at + 24 < body.size()) {
+      const auto old_len = static_cast<std::uint32_t>(rng.next_below(24));
+      specs.push_back(Spec{static_cast<std::uint32_t>(at), old_len,
+                           run_bytes(rng, rng.next_below(30))});
+      at += old_len + 1 + rng.next_below(60);
+    }
+    std::string expected;
+    std::size_t cursor = 0;
+    for (const Spec& spec : specs) {
+      expected.append(body, cursor, spec.offset - cursor);
+      expected += spec.bytes;
+      cursor = spec.offset + spec.old_len;
+    }
+    expected.append(body, cursor);
+    ASSERT_GE(specs.size(), 2u);
+
+    const std::uint64_t mutation = rng.next_below(5);  // 0 = none
+    std::uint32_t body_len = static_cast<std::uint32_t>(expected.size());
+    if (mutation == 1) {
+      std::swap(specs[0], specs[1]);  // out of order
+    } else if (mutation == 2) {
+      specs[1].offset = specs[0].offset + specs[0].old_len / 2;  // overlap
+      if (specs[0].old_len == 0) specs[1].offset = specs[0].offset - 1;
+    } else if (mutation == 3) {
+      body_len += rng.chance(1, 2) ? 1 : -1;
+    } else if (mutation == 4) {
+      specs.back().old_len = 0xFFFFFFFFu - static_cast<std::uint32_t>(
+                                              rng.next_below(3) << 30);
+    }
+    diffwire::PatchHeader header;
+    header.template_id = 1;
+    header.epoch = 1;
+    header.run_count = static_cast<std::uint32_t>(specs.size());
+    header.body_len = body_len;
+    header.checksum = poly::hash(expected);
+    std::string wire;
+    diffwire::append_patch_header(wire, header);
+    for (const Spec& spec : specs) {
+      const auto length = static_cast<std::uint32_t>(spec.bytes.size());
+      if (length == spec.old_len && rng.chance(1, 2)) {
+        diffwire::append_run_header(wire, spec.offset, length);
+      } else {
+        diffwire::append_splice_header(wire, spec.offset, length,
+                                       spec.old_len);
+      }
+      wire += spec.bytes;
+    }
+
+    diffwire::ReplicaStore store;
+    store.pin(1, body);
+    Result<diffwire::PatchFrame> frame = diffwire::decode_patch(wire);
+    if (!frame.ok()) {
+      ASSERT_NE(mutation, 0u) << "round " << round;
+      continue;
+    }
+    std::string reconstructed;
+    const Status applied = store.apply(frame.value(), &reconstructed);
+    if (mutation == 0) {
+      ASSERT_TRUE(applied.ok())
+          << "round " << round << ": " << applied.error().to_string();
+      ASSERT_EQ(reconstructed, expected);
+    } else {
+      ASSERT_FALSE(applied.ok()) << "round " << round << " mutation "
+                                 << mutation;
+      ASSERT_EQ(store.stats().pinned_replicas, 0u);
+    }
+  }
 }
 
 // --- typed-array scanner: mutated envelopes ---------------------------------
@@ -785,7 +927,7 @@ TEST(RobustnessFuzz, TypedArrayScannerAgreesWithGeneralReaderOnMutations) {
     std::string fresh = doc;
     fresh[digit] = static_cast<char>('0' + (doc[digit] - '0' + 1 +
                                             rng.next_below(9)) % 10);
-    const core::DiffDeserializer::DirtyRun run{digit, 1};
+    const diffwire::PatchRun run{static_cast<std::uint32_t>(digit), 1};
     Result<core::DiffDeserializer::ApplyReport> applied =
         deser.apply_runs(fresh, std::span(&run, 1));
     Result<soap::RpcCall> full = soap::read_rpc_envelope(fresh);

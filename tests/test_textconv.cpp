@@ -11,15 +11,19 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "buffer/sinks.hpp"
 #include "common/poly_hash.hpp"
 #include "common/rng.hpp"
+#include "soap/envelope_writer.hpp"
 #include "textconv/dtoa.hpp"
 #include "textconv/itoa.hpp"
 #include "textconv/parse.hpp"
 #include "textconv/pow10cache.hpp"
 #include "textconv/swar.hpp"
 #include "textconv/widths.hpp"
+#include "xml/writer.hpp"
 
 namespace bsoap::textconv {
 namespace {
@@ -361,17 +365,35 @@ TEST(FormatDecimal, BoundaryPointPositions) {
 }
 
 TEST(Dtoa, WriterFastPathMatchesWriteDouble) {
-  // The XmlWriter double fast path and write_double must agree bit-for-bit.
+  // The serializers' double fast paths — XmlWriter::double_text and the
+  // dense-array item loop — write through a sink's reserved span; their
+  // bytes must equal write_double's over the seeded sweep.
   Rng rng(321);
-  for (int i = 0; i < 20000; ++i) {
-    const double v = rng.next_finite_double();
-    char a[kMaxDoubleChars];
-    char b[kMaxDoubleChars];
-    const int la = write_double(a, v);
-    const int lb = write_double(b, v);
-    ASSERT_EQ(la, lb);
-    ASSERT_EQ(std::memcmp(a, b, static_cast<std::size_t>(la)), 0);
+  std::vector<double> values(20000);
+  for (double& v : values) v = rng.next_finite_double();
+  values.insert(values.end(), {0.0, -0.0, 1e17, 1e-5, 5e-324,
+                               std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()});
+  std::string expected_items;
+  buffer::StringSink items;
+  soap::detail::write_double_array_items(items, values);
+  for (const double v : values) {
+    char text[kMaxDoubleChars];
+    const std::string_view lexical(
+        text, static_cast<std::size_t>(write_double(text, v)));
+    expected_items.append("<item>").append(lexical).append("</item>");
+
+    buffer::StringSink sink;
+    xml::XmlWriter<buffer::StringSink> writer(sink);
+    writer.start_element("d");
+    writer.double_text(v);
+    writer.end_element();
+    writer.finish();
+    ASSERT_EQ(sink.take(), "<d>" + std::string(lexical) + "</d>") << v;
   }
+  EXPECT_EQ(items.take(), expected_items);
 }
 
 TEST(Dtoa, PowersOfTenExact) {

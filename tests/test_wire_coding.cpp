@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -245,7 +246,7 @@ TEST(PresetDictionary, PresetCoderRoundTrip) {
 
 // --- pipeline preset coding ------------------------------------------------
 
-TEST(WireCodingPipeline, PresetPatchFramesCompressAndDecode) {
+TEST(WireCodingPipeline, PresetPatchFramesGoUncoded) {
   core::SendPipeline::Options options;
   options.tmpl = stuffed_config();
   options.coding = ContentCoding::kDeflatePreset;
@@ -286,37 +287,25 @@ TEST(WireCodingPipeline, PresetPatchFramesCompressAndDecode) {
   session.note_coding_ack(wire_id);
   ASSERT_TRUE(session.coding_ready(wire_id));
 
-  // Shift a block of values around (same widths, bytes already present in
-  // the dictionary): the patch frame's run data is pure dictionary matches.
+  // Patch frames go uncoded even with the coding acked: the frame is a few
+  // hundred bytes, and preset-coding it would index the whole dictionary.
   const std::vector<double> prev = values;
   for (std::size_t i = 0; i < 50; ++i) values[i] = prev[(i + 101) % 512];
   const RpcCall call2 = soap::make_double_array_call(values);
   auto [wire2, report2] = capture_send(pipeline, call2);
   EXPECT_TRUE(report2.patch_send);
-  EXPECT_EQ(report2.coding, ContentCoding::kDeflatePreset);
-  EXPECT_GT(report2.coding_bytes_saved, 0u);
-  EXPECT_GT(report2.coding_ns, 0);
+  EXPECT_EQ(report2.coding, ContentCoding::kIdentity);
+  EXPECT_EQ(report2.coding_bytes_saved, 0u);
+  EXPECT_EQ(report2.coding_ns, 0);
 
   http::HttpRequest patch = parse_bytewise(wire2);
-  ASSERT_NE(patch.find("Content-Encoding"), nullptr);
-  EXPECT_EQ(patch.find("Content-Encoding")->value,
-            http::coding_name(ContentCoding::kDeflatePreset));
-  // A coded frame's template ID is unreadable before decoding, so it rides
-  // the header.
-  std::uint64_t header_id = 0;
-  ASSERT_NE(patch.find(diffwire::kTemplateHeader), nullptr);
-  ASSERT_TRUE(diffwire::parse_template_id(
-      patch.find(diffwire::kTemplateHeader)->value, &header_id));
-  EXPECT_EQ(header_id, wire_id);
+  EXPECT_EQ(patch.find("Content-Encoding"), nullptr);
+  ASSERT_NE(patch.find("Content-Type"), nullptr);
+  EXPECT_EQ(patch.find("Content-Type")->value, diffwire::kPatchContentType);
 
-  // Server-side decode against the pin generation's dictionary, then apply.
-  Result<std::string> frame_bytes =
-      store.decode_preset(wire_id, patch.body, 1u << 20);
-  ASSERT_TRUE(frame_bytes.ok()) << frame_bytes.error().to_string();
-  EXPECT_LT(patch.body.size(), frame_bytes.value().size() / 2);
-  Result<diffwire::PatchFrame> frame =
-      diffwire::decode_patch(frame_bytes.value());
+  Result<diffwire::PatchFrame> frame = diffwire::decode_patch(patch.body);
   ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+  EXPECT_EQ(frame.value().header.template_id, wire_id);
   std::string reconstructed;
   ASSERT_TRUE(store.apply(frame.value(), &reconstructed).ok());
   auto [ref_wire2, ref_report2] = capture_send(reference, call2);
@@ -347,13 +336,14 @@ TEST(WireCodingPipeline, PresetReoffersCompressAgainstPreviousGeneration) {
   session.note_ack(wire_id);
   session.note_coding_ack(wire_id);
 
-  // A wider value outgrows its exact-width field: structural update, full
-  // re-offer — but the body is near-identical to the previous generation,
-  // so the preset window compresses it to almost nothing (the MCM/re-offer
-  // series win the bench gates on).
+  // A dropped template makes the next send first-time: a full re-offer —
+  // but the body is near-identical to the previous generation, so the
+  // preset window compresses it to almost nothing (the re-offer series win
+  // the bench gates on).
   bsoap::Rng rng(77);
   values[10] = soap::double_with_serialized_length(rng, 23);
   const RpcCall call2 = soap::make_double_array_call(values);
+  pipeline.store().erase(call2.structure_signature());
   auto [wire2, report2] = capture_send(pipeline, call2);
   EXPECT_FALSE(report2.patch_send);
   EXPECT_EQ(report2.coding, ContentCoding::kDeflatePreset);
@@ -374,6 +364,70 @@ TEST(WireCodingPipeline, PresetReoffersCompressAgainstPreviousGeneration) {
 
   // The server re-pins the decoded body, rolling the dictionary generation.
   EXPECT_TRUE(store.pin(wire_id, decoded.value()));
+}
+
+TEST(WireCodingPipeline, ReoffersAfterPatchesCodeAgainstTheReplicaTail) {
+  // After patches the server's replica has moved on from the pinned offer.
+  // The sender records the tail of every body it sends, so a re-offer codes
+  // against the replica as it stands, and the server picks that dictionary
+  // by the body's DICTID (the pin generation's stays decodable too).
+  core::SendPipeline::Options options;
+  options.tmpl = stuffed_config();
+  options.coding = ContentCoding::kDeflatePreset;
+  core::SendPipeline pipeline(options);
+  core::UpdateJournal journal;
+  pipeline.set_journal(&journal);
+  diffwire::ClientSession session(/*token=*/6);
+  pipeline.set_diffwire(&session);
+  core::SendPipeline reference(options);
+
+  std::vector<double> values = soap::doubles_with_serialized_length(300, 17, 8);
+  const RpcCall call1 = soap::make_double_array_call(values);
+  const std::uint64_t wire_id = session.wire_id(call1.structure_signature());
+  auto [wire1, report1] = capture_send(pipeline, call1);
+  diffwire::ReplicaStore::Options store_options;
+  store_options.retain_dictionaries = true;
+  diffwire::ReplicaStore store(store_options);
+  const std::string pinned = parse_bytewise(wire1).body;
+  store.pin(wire_id, pinned);
+  session.note_ack(wire_id);
+  session.note_coding_ack(wire_id);
+
+  bsoap::Rng rng(31);
+  for (int step = 0; step < 3; ++step) {
+    for (int k = 0; k < 40; ++k) {
+      values[rng.next_below(values.size())] =
+          soap::double_with_serialized_length(rng, 17);
+    }
+    auto [wire, report] =
+        capture_send(pipeline, soap::make_double_array_call(values));
+    ASSERT_TRUE(report.patch_send);
+    const http::HttpRequest patch = parse_bytewise(wire);  // runs point here
+    Result<diffwire::PatchFrame> frame = diffwire::decode_patch(patch.body);
+    ASSERT_TRUE(frame.ok());
+    std::string replica;
+    const Status applied = store.apply(frame.value(), &replica);
+    ASSERT_TRUE(applied.ok()) << applied.error().to_string();
+  }
+  const std::string replica = std::string(
+      session.dictionary(wire_id));  // the tail the sender recorded
+
+  const RpcCall call2 = soap::make_double_array_call(values);
+  pipeline.store().erase(call2.structure_signature());
+  auto [wire2, report2] = capture_send(pipeline, call2);
+  EXPECT_EQ(report2.coding, ContentCoding::kDeflatePreset);
+  const http::HttpRequest offer = parse_bytewise(wire2);
+  const std::optional<std::uint32_t> dict_id =
+      compress::zlib_dictionary_id(offer.body);
+  ASSERT_TRUE(dict_id.has_value());
+  EXPECT_EQ(*dict_id, compress::adler32(replica));
+  EXPECT_NE(*dict_id, compress::adler32(pinned));
+
+  Result<std::string> decoded =
+      store.decode_preset(wire_id, offer.body, 1u << 20);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  auto [ref_wire2, ref_report2] = capture_send(reference, call2);
+  EXPECT_EQ(decoded.value(), parse_bytewise(ref_wire2).body);
 }
 
 TEST(WireCodingPipeline, PresetDegradesToIdentityWithoutDiffwire) {
@@ -596,6 +650,24 @@ void drive_preset_invokes(BsoapClient& client, int iters, std::uint64_t seed) {
   }
 }
 
+/// Counts patch and full sends by whether they went out coded.
+class CodedSendCounter final : public core::SendObserver {
+ public:
+  void on_stage(core::SendStage, std::int64_t, std::size_t) override {}
+  void on_send(const core::SendReport& report) override {
+    const bool coded = report.coding != ContentCoding::kIdentity;
+    if (report.patch_send) {
+      ++patches;
+      coded_patches += coded;
+    } else {
+      coded_offers += coded;
+    }
+  }
+  std::uint64_t patches = 0;
+  std::uint64_t coded_patches = 0;
+  std::uint64_t coded_offers = 0;
+};
+
 TEST(WireCodingEndToEnd, PresetClientPatchesOnBothEngines) {
   for (const server::IoModel io_model :
        {server::IoModel::kBlocking, server::IoModel::kReactor}) {
@@ -608,6 +680,8 @@ TEST(WireCodingEndToEnd, PresetClientPatchesOnBothEngines) {
 
     BsoapClient client(tcp_dialer(server.value()->port()),
                        preset_client_config());
+    CodedSendCounter observer;
+    client.pipeline().set_observer(&observer);
     drive_preset_invokes(client, 12, 17);
 
     const diffwire::ClientDiffStats* cs = client.diffwire_stats();
@@ -616,6 +690,17 @@ TEST(WireCodingEndToEnd, PresetClientPatchesOnBothEngines) {
     EXPECT_EQ(cs->acks, 1u);
     EXPECT_EQ(cs->patch_sends, 11u);
     EXPECT_EQ(cs->patch_nacks, 0u);
+    // Patch frames go uncoded; only a full re-offer is preset-coded.
+    EXPECT_EQ(observer.coded_patches, 0u);
+    EXPECT_EQ(observer.patches, 11u);
+    EXPECT_EQ(observer.coded_offers, 0u);  // the first offer has no dictionary
+    const RpcCall call = soap::make_double_array_call(
+        soap::doubles_with_serialized_length(64, 17, 18));
+    client.store().erase(call.structure_signature());
+    Result<Value> reoffer = client.invoke(call);
+    ASSERT_TRUE(reoffer.ok()) << reoffer.error().to_string();
+    EXPECT_EQ(cs->offers_sent, 2u);
+    EXPECT_EQ(observer.coded_offers, 1u);
     EXPECT_EQ(server.value()->stats().faults, 0u);
     server.value()->stop();
   }
@@ -696,12 +781,13 @@ class CountingTransport final : public net::Transport {
   std::atomic<std::uint64_t>* bytes_;
 };
 
-/// Structural-update workload (every send re-offers in full): each step
-/// grows one value past its exact-width field, forcing re-serialization, so
-/// the preset coding's full re-offer shrink is what separates the clients.
-std::uint64_t drive_structural_series(BsoapClient& client,
-                                      std::atomic<std::uint64_t>& bytes,
-                                      int iters) {
+/// Re-offer workload: before each step the client drops its template, so
+/// every send is a first-time full re-offer (a shift would travel as a
+/// splice patch), and the preset coding's re-offer shrink is what separates
+/// the clients.
+std::uint64_t drive_reoffer_series(BsoapClient& client,
+                                   std::atomic<std::uint64_t>& bytes,
+                                   int iters) {
   std::vector<double> values = soap::doubles_with_serialized_length(256, 17, 3);
   bsoap::Rng rng(71);
   Result<Value> warmup = client.invoke(soap::make_double_array_call(values));
@@ -710,7 +796,9 @@ std::uint64_t drive_structural_series(BsoapClient& client,
   for (int i = 0; i < iters; ++i) {
     values[static_cast<std::size_t>(i)] =
         soap::double_with_serialized_length(rng, 23);
-    Result<Value> result = client.invoke(soap::make_double_array_call(values));
+    const RpcCall call = soap::make_double_array_call(values);
+    client.store().erase(call.structure_signature());
+    Result<Value> result = client.invoke(call);
     EXPECT_TRUE(result.ok()) << "iter " << i;
     if (result.ok()) {
       EXPECT_EQ(result.value().as_double(), sum_of(values));
@@ -738,11 +826,11 @@ TEST(WireCodingEndToEnd, PresetReoffersShrinkWireBytesAtLeastTwofold) {
 
   std::atomic<std::uint64_t> identity_bytes{0};
   BsoapClientConfig identity_config;
-  identity_config.with_diffwire(true);  // exact stuffing: all re-offers
+  identity_config.with_diffwire(true);
   BsoapClient identity_client(counted_dialer(&identity_bytes),
                               identity_config);
   const std::uint64_t identity_total =
-      drive_structural_series(identity_client, identity_bytes, 16);
+      drive_reoffer_series(identity_client, identity_bytes, 16);
 
   std::atomic<std::uint64_t> preset_bytes{0};
   BsoapClientConfig preset_config;
@@ -750,7 +838,7 @@ TEST(WireCodingEndToEnd, PresetReoffersShrinkWireBytesAtLeastTwofold) {
       ContentCoding::kDeflatePreset, /*min_body_bytes=*/64);
   BsoapClient preset_client(counted_dialer(&preset_bytes), preset_config);
   const std::uint64_t preset_total =
-      drive_structural_series(preset_client, preset_bytes, 16);
+      drive_reoffer_series(preset_client, preset_bytes, 16);
 
   // Identical workloads (same seeds), so the ratio isolates the coding. The
   // acceptance bar is 2x; near-identical generations compress far harder.
