@@ -18,6 +18,10 @@
 //   WireCompress/patchpreset/N — same workload from a preset-coding client:
 //     patch frames still go uncoded (indexing the dictionary would cost more
 //     than the few hundred bytes it could save).
+//   WireCompress/decode/N      — informational, no gate: one preset-coded
+//     re-offer decoded against the previous body's tail (the server's
+//     inflate of a coded re-offer), ns/op per decode. Back-references are
+//     most of such a body, so this series follows the inflate copy loop.
 //
 // Identity and preset series mutate the same positions with the same values
 // (same RNG seed per point), so the byte ratios isolate the coding layer.
@@ -33,11 +37,14 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "buffer/sinks.hpp"
 #include "common/rng.hpp"
+#include "compress/deflate.hpp"
 #include "core/client.hpp"
 #include "http/content_coding.hpp"
 #include "net/tcp.hpp"
 #include "server/server_runtime.hpp"
+#include "soap/envelope_writer.hpp"
 #include "soap/workload.hpp"
 
 namespace {
@@ -231,6 +238,42 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
   server->stop();
 }
 
+std::string envelope_of(const std::vector<double>& values) {
+  buffer::StringSink sink;
+  soap::write_rpc_envelope(sink, soap::make_double_array_call(values));
+  return sink.take();
+}
+
+void bench_decode(benchmark::State& state, int permille) {
+  const std::size_t n = payload_size();
+  std::vector<double> values = soap::doubles_with_serialized_length(n, 17, 7);
+  const std::string before = envelope_of(values);
+  bsoap::Rng rng(static_cast<std::uint64_t>(permille) * 7919 + 17);
+  const std::size_t dirty = std::max<std::size_t>(
+      1, n * static_cast<std::size_t>(permille) / 1000);
+  for (std::size_t d = 0; d < dirty; ++d) {
+    values[rng.next_below(n)] = soap::double_with_serialized_length(rng, 17);
+  }
+  const std::string after = envelope_of(values);
+  constexpr std::size_t kWindow = 32 * 1024;
+  const std::string_view dict =
+      std::string_view(before).substr(before.size() > kWindow
+                                          ? before.size() - kWindow
+                                          : 0);
+  const std::string coded = compress::zlib_compress(after, dict);
+  std::uint64_t failed = 0;
+  for (auto _ : state) {
+    const Result<std::string> out =
+        compress::zlib_decompress(coded, after.size(), dict);
+    if (!out.ok() || out.value() != after) ++failed;
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["failed"] = static_cast<double>(failed);
+  state.counters["body_bytes"] = static_cast<double>(after.size());
+  state.counters["coded_bytes"] = static_cast<double>(coded.size());
+}
+
 void register_bench() {
   for (const Mode mode : {Mode::kFullIdentity, Mode::kFullPreset,
                           Mode::kPatchIdentity, Mode::kPatchPreset}) {
@@ -249,6 +292,13 @@ void register_bench() {
           ->Unit(benchmark::kMillisecond)
           ->UseRealTime();
     }
+  }
+  for (const int permille : {1, 10, 100}) {
+    benchmark::RegisterBenchmark(
+        ("WireCompress/decode/" + std::to_string(permille)).c_str(),
+        [permille](benchmark::State& state) { bench_decode(state, permille); })
+        ->Iterations(200)
+        ->Unit(benchmark::kMicrosecond);
   }
 }
 

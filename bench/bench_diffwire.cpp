@@ -24,16 +24,18 @@
 // gates: at 1 per mille dirty, patch wire bytes <= 0.1x full wire bytes;
 // every DiffWire entry reports failed == 0 (including the NACK storm).
 //
-// Integrity-root counters (patch and nackstorm series) prove steady patches
-// never hash a whole body: the server's full_hashes (whole-replica root
+// Integrity-root counters prove steady patches never hash a whole body.
+// Patch and nackstorm series: the server's full_hashes (whole-replica root
 // computations) must stay <= pins + repins, and the live client template's
-// chunk_rehashes (counted by its own buffer since it was built) <=
-// chunks_per_body: every value here keeps its width, so no chunk goes stale
-// after the first root and each is hashed from scratch once. The shift
-// series gates its own counts: patch share >= 0.95 with zero demotions,
-// full_hashes <= pins + repins, and the client rehashes no more chunks
-// than the requests touched (chunks holding a rewritten value, plus the
-// tail chunk of every split).
+// client_hashed_bytes (counted by its own buffer since it was built) <=
+// body_bytes: every value here keeps its width, so nothing is hashed from
+// scratch after the first root. The shift series gates its own counts:
+// patch share >= 0.95 with zero demotions, full_hashes <= pins + repins,
+// and per-request windows of bytes hashed from scratch on each side
+// (window_client_hashed, window_server_hashed) within
+// window_runs x 2 x piece_bytes + window_frame_bytes: a splice costs the
+// piece it lands in, not the body. The frame bytes (the patch frames'
+// payload: run bytes plus their headers) stand in for the run bytes.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -42,6 +44,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "common/poly_hash.hpp"
 #include "common/rng.hpp"
 #include "core/client.hpp"
 #include "net/tcp.hpp"
@@ -115,6 +118,19 @@ Result<soap::Value> sum_handler(const soap::RpcCall& call) {
   return soap::Value::from_double(total);
 }
 
+/// Sums the runs and payload bytes of the patch frames a client sends.
+class PatchTally final : public core::SendObserver {
+ public:
+  void on_stage(core::SendStage, std::int64_t, std::size_t) override {}
+  void on_send(const core::SendReport& report) override {
+    if (!report.patch_send) return;
+    runs += report.patch_runs;
+    frame_bytes += report.envelope_bytes;
+  }
+  std::uint64_t runs = 0;
+  std::uint64_t frame_bytes = 0;
+};
+
 void bench_point(benchmark::State& state, int permille, Mode mode) {
   server::ServerRuntimeOptions options;
   options.workers = 2;
@@ -150,8 +166,9 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
   bsoap::Rng rng(static_cast<std::uint64_t>(permille) * 7919 + 17);
 
   // Warmup: first send builds the template and (patch modes) pins + acks.
-  // The shift series also sends one patch, which hashes every chunk of the
-  // template once; from there on only touched chunks may rehash.
+  // The shift series also sends one patch, which hashes the template and
+  // the replica once; from there on only the pieces splices land in may
+  // be hashed.
   const std::uint64_t signature =
       soap::make_double_array_call(values).structure_signature();
   must(client.invoke(soap::make_double_array_call(values)));
@@ -163,49 +180,37 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
   const diffwire::ClientDiffStats start =
       config.diffwire ? *client.diffwire_stats() : diffwire::ClientDiffStats{};
   const server::ServerStats server_start = server->stats();
+  const diffwire::ReplicaStore::Stats replica_start =
+      server->replicas()->stats();
+  PatchTally tally;
+  client.pipeline().set_observer(&tally);
 
   std::uint64_t requests = 0;
   std::uint64_t failed = 0;
-  std::uint64_t rehashes = 0;  // shift: client chunk rehashes in the window
-  std::uint64_t touched = 0;   // shift: chunks the requests touched
-  std::vector<std::size_t> changed;
-  std::vector<std::uint32_t> chunks;
+  std::uint64_t client_hashed = 0;  // shift: client bytes hashed, in window
   for (auto _ : state) {
     for (int i = 0; i < kRequestsPerIter; ++i) {
-      changed.clear();
       for (std::size_t d = 0; d < dirty; ++d) {
         const std::size_t at = rng.next_below(n);
         const int width = mode == Mode::kShift
                               ? 1 + static_cast<int>(rng.next_below(24))
                               : 17;
         values[at] = soap::double_with_serialized_length(rng, width);
-        changed.push_back(at);
       }
       if (mode == Mode::kNackStorm && i % kClearEvery == 0) {
         server->replicas()->clear();
       }
       const core::MessageTemplate* tmpl = client.store().find(signature);
-      const std::uint64_t rehashes_before =
-          tmpl != nullptr ? tmpl->buffer().chunk_rehashes() : 0;
-      const std::uint64_t splits_before =
-          tmpl != nullptr ? tmpl->stats().chunk_splits : 0;
+      const std::uint64_t hashed_before =
+          tmpl != nullptr ? tmpl->buffer().hashed_bytes() : 0;
       if (!client.invoke(soap::make_double_array_call(values)).ok()) ++failed;
       ++requests;
-      if (mode == Mode::kShift && tmpl != nullptr &&
-          tmpl == client.store().find(signature)) {
-        // A double array is the call's only leaves: element i is leaf i.
-        chunks.clear();
-        for (const std::size_t at : changed) {
-          chunks.push_back(tmpl->dut()[at].pos.chunk);
-        }
-        std::sort(chunks.begin(), chunks.end());
-        touched += static_cast<std::uint64_t>(
-            std::unique(chunks.begin(), chunks.end()) - chunks.begin());
-        touched += tmpl->stats().chunk_splits - splits_before;
-        rehashes += tmpl->buffer().chunk_rehashes() - rehashes_before;
+      if (tmpl != nullptr && tmpl == client.store().find(signature)) {
+        client_hashed += tmpl->buffer().hashed_bytes() - hashed_before;
       }
     }
   }
+  client.pipeline().set_observer(nullptr);
 
   state.SetItemsProcessed(static_cast<std::int64_t>(requests));
   state.counters["n"] = static_cast<double>(n);
@@ -228,10 +233,10 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
     state.counters["pins"] = static_cast<double>(rs.pins);
     state.counters["repins"] = static_cast<double>(rs.repins);
     if (const core::MessageTemplate* tmpl = client.store().find(signature)) {
-      state.counters["chunk_rehashes"] =
-          static_cast<double>(tmpl->buffer().chunk_rehashes());
-      state.counters["chunks_per_body"] =
-          static_cast<double>(tmpl->buffer().chunk_count());
+      state.counters["client_hashed_bytes"] =
+          static_cast<double>(tmpl->buffer().hashed_bytes());
+      state.counters["body_bytes"] =
+          static_cast<double>(tmpl->buffer().total_size());
     }
     if (mode == Mode::kShift) {
       const server::ServerStats ss = server->stats();
@@ -240,8 +245,22 @@ void bench_point(benchmark::State& state, int permille, Mode mode) {
           static_cast<double>(ds->patch_sends - start.patch_sends);
       state.counters["demotions"] = static_cast<double>(
           ss.deser_demotions - server_start.deser_demotions);
-      state.counters["window_chunk_rehashes"] = static_cast<double>(rehashes);
-      state.counters["window_chunks_touched"] = static_cast<double>(touched);
+      state.counters["piece_bytes"] = static_cast<double>(poly::kPiece);
+      state.counters["window_runs"] = static_cast<double>(tally.runs);
+      state.counters["window_frame_bytes"] =
+          static_cast<double>(tally.frame_bytes);
+      state.counters["window_client_hashed"] =
+          static_cast<double>(client_hashed);
+      state.counters["window_server_hashed"] =
+          static_cast<double>(rs.hashed_bytes - replica_start.hashed_bytes);
+      state.counters["window_full_hashes"] =
+          static_cast<double>(rs.full_hashes - replica_start.full_hashes);
+      const double per_req = requests > 0 ? static_cast<double>(requests) : 1;
+      state.counters["client_hashed_per_req"] =
+          static_cast<double>(client_hashed) / per_req;
+      state.counters["server_hashed_per_req"] =
+          static_cast<double>(rs.hashed_bytes - replica_start.hashed_bytes) /
+          per_req;
     }
   }
   server->stop();

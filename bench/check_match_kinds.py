@@ -46,12 +46,14 @@ it shows up as a timing change:
     nackstorm series must actually have seen NACKs (else the storm never
     exercised the fallback); every patch and nackstorm entry must show
     steady patches never hashing a whole body: server full_hashes <=
-    pins + repins, and the live client template's chunk_rehashes (its
-    buffer's own count since it was built) <= chunks_per_body; the shift
+    pins + repins, and the live client template's client_hashed_bytes
+    (its buffer's own count since it was built) <= body_bytes; the shift
     series (every dirty value changes width) must send >= 95% of its
     requests as patch frames with zero server demotions, full_hashes <=
-    pins + repins, and no more client chunk rehashes than the chunks its
-    requests touched;
+    pins + repins, and on each side hash from scratch no more than
+    runs x 2 x piece_bytes + frame bytes over its measured window (a
+    splice costs the piece it lands in, not the body; the server may add
+    one body per whole-replica hash in the window);
   * "DiffDeser/..." series (bench_diffdeser) are gated across series: at
     <= 1% dirty the fused fast-parse receive stage must be >= 5x faster
     than the always-full-parse baseline (both engines), clean fast-parse
@@ -171,13 +173,13 @@ def check_root_counts(bench, name, c):
     """Steady patches never hash a whole body (counts, not timing).
 
     The server hashes a replica from scratch at most once per pin
-    generation, and the live client template hashes each of its chunks from
-    scratch at most once (the series keep every value's width, so no chunk
-    goes stale after the first root); every other patch moves the integrity
-    roots by the dirty bytes alone.
+    generation, and the live client template hashes each of its bytes from
+    scratch at most once (the series keep every value's width, so nothing
+    goes stale after the first root); every other patch moves the
+    integrity roots by the dirty bytes alone.
     """
-    needed = ("full_hashes", "pins", "repins", "chunk_rehashes",
-              "chunks_per_body")
+    needed = ("full_hashes", "pins", "repins", "client_hashed_bytes",
+              "body_bytes")
     missing = [k for k in needed if k not in c]
     if missing:
         return [f"{bench} {name}: integrity-root counters missing: "
@@ -187,11 +189,11 @@ def check_root_counts(bench, name, c):
         errors.append(
             f"{bench} {name}: server hashed {c['full_hashes']:.0f} whole "
             f"replicas > pins + repins ({c['pins'] + c['repins']:.0f})")
-    if c["chunk_rehashes"] > c["chunks_per_body"]:
+    if c["client_hashed_bytes"] > c["body_bytes"]:
         errors.append(
-            f"{bench} {name}: client template rehashed "
-            f"{c['chunk_rehashes']:.0f} chunks > chunks per body "
-            f"({c['chunks_per_body']:.0f})")
+            f"{bench} {name}: client template hashed "
+            f"{c['client_hashed_bytes']:.0f} bytes > one body "
+            f"({c['body_bytes']:.0f})")
     return errors
 
 
@@ -201,13 +203,16 @@ def check_shift(bench, name, c):
     Every dirty value of the DiffWire/shift series takes a new width each
     request, and the template is never dropped, so (in the measured window)
     at least 95% of requests must go out as patch frames, the server must
-    fast-parse every one of them (zero demotions), hash a whole replica at
-    most once per pin, and the client must rehash no more chunks than the
-    requests touched.
+    fast-parse every one of them (zero demotions) and hash a whole replica
+    at most once per pin, and each side may hash from scratch only the
+    pieces its splices land in: at most runs x 2 x piece_bytes plus the
+    frames' bytes over the window (plus, on the server, one body per
+    whole-replica hash inside the window).
     """
     needed = ("requests", "window_patch_sends", "demotions", "full_hashes",
-              "pins", "repins", "window_chunk_rehashes",
-              "window_chunks_touched")
+              "pins", "repins", "piece_bytes", "window_runs",
+              "window_frame_bytes", "window_client_hashed",
+              "window_server_hashed", "window_full_hashes", "body_bytes")
     missing = [k for k in needed if k not in c]
     if missing:
         return [f"{bench} {name}: shift counters missing: "
@@ -226,11 +231,17 @@ def check_shift(bench, name, c):
         errors.append(
             f"{bench} {name}: server hashed {c['full_hashes']:.0f} whole "
             f"replicas > pins + repins ({c['pins'] + c['repins']:.0f})")
-    if c["window_chunk_rehashes"] > c["window_chunks_touched"]:
+    bound = (c["window_runs"] * 2 * c["piece_bytes"] +
+             c["window_frame_bytes"])
+    if c["window_client_hashed"] > bound:
         errors.append(
-            f"{bench} {name}: client rehashed "
-            f"{c['window_chunk_rehashes']:.0f} chunks > the "
-            f"{c['window_chunks_touched']:.0f} chunks its requests touched")
+            f"{bench} {name}: client hashed {c['window_client_hashed']:.0f} "
+            f"bytes > runs x 2 x piece + frame bytes ({bound:.0f})")
+    server_bound = bound + c["window_full_hashes"] * c["body_bytes"]
+    if c["window_server_hashed"] > server_bound:
+        errors.append(
+            f"{bench} {name}: server hashed {c['window_server_hashed']:.0f} "
+            f"bytes > runs x 2 x piece + frame bytes ({server_bound:.0f})")
     return errors
 
 

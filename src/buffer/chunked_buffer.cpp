@@ -29,7 +29,7 @@ void ChunkedBuffer::append(const char* data, std::size_t n) {
     const std::size_t take = std::min(room, n);
     std::memcpy(c.data.get() + c.size, data, take);
     c.size += take;
-    c.hashed = false;
+    stale(c);
     total_size_ += take;
     data += take;
     n -= take;
@@ -49,7 +49,7 @@ char* ChunkedBuffer::reserve_contiguous(std::size_t n) {
 void ChunkedBuffer::commit(std::size_t written) {
   BSOAP_ASSERT(written <= reserved_);
   last().size += written;
-  last().hashed = false;
+  stale(last());
   total_size_ += written;
   reserved_ = 0;
 }
@@ -104,6 +104,20 @@ void ChunkedBuffer::write_at(BufPos pos, const char* data, std::size_t n) {
   std::memcpy(edit.data(), data, n);
 }
 
+void ChunkedBuffer::grow(Chunk& c, std::size_t capacity) {
+  auto data = std::make_unique<char[]>(capacity);
+  std::memcpy(data.get(), c.data.get(), c.size);
+  c.data = std::move(data);
+  c.capacity = capacity;
+}
+
+void ChunkedBuffer::splice_pieces(Chunk& c, std::size_t offset,
+                                  std::size_t old_len, std::size_t new_len) {
+  if (!c.pieces.built()) return;
+  c.pieces.splice(offset, old_len, new_len);
+  c.folded = false;
+}
+
 ExpandResult ChunkedBuffer::expand_at(BufPos pos, std::size_t old_len,
                                       std::size_t new_len) {
   BSOAP_ASSERT(new_len >= old_len);
@@ -116,28 +130,27 @@ ExpandResult ChunkedBuffer::expand_at(BufPos pos, std::size_t old_len,
   const std::size_t region_end = pos.offset + old_len;
   BSOAP_ASSERT(region_end <= c->size);
   const std::size_t tail_len = c->size - region_end;
-  c->hashed = false;  // bytes move (a reallocated chunk starts stale anyway)
 
   if (c->size + delta <= c->capacity) {
     // Fast path: enough slack at the end of the chunk; shift the tail.
     result.outcome = ExpandOutcome::kSlack;
   } else if (c->size + delta <= config_.split_threshold) {
     // Reallocate this chunk into a larger memory region.
-    const std::size_t new_capacity =
-        std::max(c->size + delta + config_.tail_reserve, c->capacity * 2);
-    Chunk bigger = make_chunk(new_capacity);
-    std::memcpy(bigger.data.get(), c->data.get(), c->size);
-    bigger.size = c->size;
-    *c = std::move(bigger);
+    grow(*c, std::max(c->size + delta + config_.tail_reserve,
+                      c->capacity * 2));
     result.outcome = ExpandOutcome::kRealloc;
   } else {
     // Split: the tail after the expanded region moves to a new chunk
-    // inserted right after this one.
-    const std::size_t new_capacity =
-        std::max(config_.chunk_size, tail_len + config_.tail_reserve);
-    Chunk tail_chunk = make_chunk(new_capacity);
+    // inserted right after this one, with its pieces.
+    Chunk tail_chunk = make_chunk(
+        std::max(config_.chunk_size, tail_len + config_.tail_reserve));
     std::memcpy(tail_chunk.data.get(), c->data.get() + region_end, tail_len);
     tail_chunk.size = tail_len;
+    if (c->pieces.built()) {
+      hashed_bytes_ +=
+          c->pieces.split(c->data.get(), region_end, &tail_chunk.pieces);
+      c->folded = false;
+    }
     c->size = region_end;
     chunks_.insert(chunks_.begin() + pos.chunk + 1, std::move(tail_chunk));
     c = &chunks_[pos.chunk];  // vector may have reallocated
@@ -145,13 +158,11 @@ ExpandResult ChunkedBuffer::expand_at(BufPos pos, std::size_t old_len,
     result.split_offset = region_end;
     // If even the region alone no longer fits, grow this chunk too.
     if (pos.offset + new_len > c->capacity) {
-      Chunk bigger = make_chunk(pos.offset + new_len + config_.tail_reserve);
-      std::memcpy(bigger.data.get(), c->data.get(), c->size);
-      bigger.size = c->size;
-      *c = std::move(bigger);
+      grow(*c, pos.offset + new_len + config_.tail_reserve);
     }
     c->size = pos.offset + new_len;
     total_size_ += delta;
+    splice_pieces(*c, pos.offset, old_len, new_len);
     return result;
   }
 
@@ -160,6 +171,7 @@ ExpandResult ChunkedBuffer::expand_at(BufPos pos, std::size_t old_len,
   std::memmove(base + region_end + delta, base + region_end, tail_len);
   c->size += delta;
   total_size_ += delta;
+  splice_pieces(*c, pos.offset, old_len, new_len);
   return result;
 }
 
@@ -172,12 +184,12 @@ void ChunkedBuffer::contract_at(BufPos pos, std::size_t old_len,
   BSOAP_ASSERT(region_end <= c.size);
   const std::size_t delta = old_len - new_len;
   if (delta == 0) return;
-  c.hashed = false;
   char* base = c.data.get();
   std::memmove(base + region_end - delta, base + region_end,
                c.size - region_end);
   c.size -= delta;
   total_size_ -= delta;
+  splice_pieces(c, pos.offset, old_len, new_len);
 }
 
 std::vector<ChunkedBuffer::Slice> ChunkedBuffer::slices() const {
@@ -199,15 +211,19 @@ std::uint64_t ChunkedBuffer::root() {
   std::uint64_t root = 0;
   std::size_t base = 0;
   for (Chunk& c : chunks_) {
-    if (!c.hashed) {
-      c.hash = poly::hash(c.data.get(), c.size);
-      c.hashed = true;
-      ++rehashes_;
+    if (!c.pieces.built()) {
+      hashed_bytes_ += c.pieces.build(c.data.get(), c.size);
+    }
+    if (!c.folded) {
+      hashed_bytes_ += c.pieces.refresh(c.data.get());
+      c.hash = c.pieces.fold();
+      c.folded = true;
     }
     if (c.size > 0) root = poly::add(root, poly::mul(poly::pow(base), c.hash));
     base += c.size;
   }
 #ifdef BSOAP_DEBUG_INVARIANTS
+  BSOAP_ASSERT(check_invariants());
   BSOAP_ASSERT(root == poly::hash(linearize()));
 #endif
   return root;
@@ -218,7 +234,11 @@ bool ChunkedBuffer::check_invariants() const {
   for (const Chunk& c : chunks_) {
     if (c.size > c.capacity) return false;
     if (c.capacity == 0 || c.data == nullptr) return false;
-    if (c.hashed && c.hash != poly::hash(c.data.get(), c.size)) return false;
+    if (!c.pieces.check(c.data.get(), c.size)) return false;
+    if (c.folded && (!c.pieces.built() ||
+                     c.hash != poly::hash(c.data.get(), c.size))) {
+      return false;
+    }
     sum += c.size;
   }
   return sum == total_size_ && reserved_ == 0;

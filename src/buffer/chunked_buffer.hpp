@@ -14,12 +14,19 @@
 //
 // Integrity root. root() returns the polynomial hash of the whole message
 // (common/poly_hash.hpp) — the diff-wire patch frame's checksum. Each chunk
-// keeps the hash of its own bytes and the root folds them by base offset,
-// O(chunks). Hashing is lazy: a chunk is hashed from scratch on the first
-// root() after it was appended to, shifted, split or reallocated ("stale"),
-// and from then on every in-place write (write_at, Edit) moves its hash by
-// the bytes it overwrites, O(bytes written). A buffer whose root is never
-// asked for pays one branch per write.
+// keeps a piece table over its bytes and the fold of that table (the chunk
+// hash); the root folds the chunk hashes by base offset, O(chunks). Hashing
+// is lazy: a chunk is hashed from scratch on the first root() after it was
+// built or appended to. From then on every change costs the bytes near it,
+// as the paper's chunking intends for the bytes themselves: an in-place
+// write (write_at, Edit) moves the chunk hash by the bytes it overwrites
+// and marks them in the piece table (one bit, no piece touched); a shift
+// (expand_at, contract_at) marks the piece or two it lands in dirty, and
+// the next root() after a shift rehashes each marked piece once and
+// refolds that chunk; a realloc keeps the table (offsets are
+// chunk-relative); a split moves the pieces after the split point to the
+// new chunk and rehashes only the piece that straddles it. A buffer whose
+// root is never asked for pays one branch per write.
 #pragma once
 
 #include <cstddef>
@@ -76,6 +83,8 @@ struct ExpandResult {
 
 /// Append-plus-in-place-edit byte store backed by a list of chunks.
 class ChunkedBuffer {
+  struct Chunk;
+
  public:
   explicit ChunkedBuffer(ChunkConfig config = {});
 
@@ -137,9 +146,10 @@ class ChunkedBuffer {
   /// A scoped in-place write of the `n` bytes at `pos` (within one chunk):
   /// data() may be written freely until the Edit closes. While the chunk is
   /// hashed, opening hashes the region's old bytes and closing moves the
-  /// chunk hash by the difference; otherwise both are one branch. Edits on
-  /// distinct chunks touch disjoint state, so writers partitioned by chunk
-  /// may run them concurrently.
+  /// chunk hash by the difference and marks the region in the chunk's
+  /// piece table; otherwise both are one branch. Edits on distinct chunks
+  /// touch disjoint state, so writers partitioned by chunk may run them
+  /// concurrently.
   class Edit {
    public:
     Edit(ChunkedBuffer& buf, BufPos pos, std::size_t n);
@@ -151,10 +161,10 @@ class ChunkedBuffer {
 
    private:
     char* data_ = nullptr;
-    std::uint64_t* chunk_hash_ = nullptr;  ///< set while the chunk is hashed
+    Chunk* chunk_ = nullptr;  ///< set while the chunk is hashed
     std::uint32_t offset_ = 0;
     std::uint32_t len_ = 0;
-    std::uint64_t old_hash_ = 0;
+    std::uint64_t old_hash_ = 0;  ///< while the chunk hash is folded
   };
 
   /// Grows the region [pos, pos+old_len) to new_len bytes, moving the tail
@@ -196,15 +206,19 @@ class ChunkedBuffer {
   // --- integrity root -----------------------------------------------------
 
   /// poly::hash of the whole message, maintained incrementally (see the
-  /// file comment). Rehashes only stale chunks.
+  /// file comment). Builds the tables of stale chunks, and rehashes the
+  /// dirty pieces of the chunks a shift or split touched.
   std::uint64_t root();
 
-  /// Chunks hashed from scratch by root() so far (a steady stream of
-  /// same-width rewrites adds none).
-  std::uint64_t chunk_rehashes() const { return rehashes_; }
+  /// Bytes hashed from scratch so far: chunk builds, and the pieces
+  /// rehashed after shifts and splits (those the shifts, splits and the
+  /// in-place writes since landed in). The region hashes of in-place
+  /// writes are not counted, so a steady stream of same-width rewrites
+  /// adds nothing.
+  std::uint64_t hashed_bytes() const { return hashed_bytes_; }
 
   /// Internal consistency check (tests): sizes/capacities are coherent and
-  /// every hashed chunk's hash equals its bytes' hash.
+  /// every hashed chunk's pieces and hash match its bytes.
   bool check_invariants() const;
 
  private:
@@ -212,18 +226,31 @@ class ChunkedBuffer {
     std::unique_ptr<char[]> data;
     std::size_t size = 0;
     std::size_t capacity = 0;
-    std::uint64_t hash = 0;  ///< poly::hash of the chunk's bytes, if hashed
-    bool hashed = false;     ///< false = stale: root() rehashes it
+    poly::PieceTable pieces;  ///< unbuilt = stale: root() hashes the chunk
+    std::uint64_t hash = 0;   ///< poly::hash of the bytes, while `folded`
+    bool folded = false;
   };
 
   Chunk make_chunk(std::size_t capacity) const;
   Chunk& last() { return chunks_.back(); }
+  /// Marks a chunk whose bytes grew at its end stale: one branch while
+  /// the root has never been asked for (the building path).
+  static void stale(Chunk& c) {
+    if (!c.pieces.built()) return;
+    c.pieces.reset();
+    c.folded = false;
+  }
+  /// Moves `c`'s bytes into a new allocation of `capacity`.
+  static void grow(Chunk& c, std::size_t capacity);
+  /// Follows a shift of `c`'s region at `offset` in its piece table.
+  static void splice_pieces(Chunk& c, std::size_t offset, std::size_t old_len,
+                            std::size_t new_len);
 
   ChunkConfig config_;
   std::vector<Chunk> chunks_;
   std::size_t total_size_ = 0;
   std::size_t reserved_ = 0;  // outstanding reserve_contiguous amount
-  std::uint64_t rehashes_ = 0;
+  std::uint64_t hashed_bytes_ = 0;
 };
 
 // Inline: every field rewrite of the update stage opens one.
@@ -233,18 +260,22 @@ inline ChunkedBuffer::Edit::Edit(ChunkedBuffer& buf, BufPos pos,
   Chunk& c = buf.chunks_[pos.chunk];
   BSOAP_ASSERT(pos.offset + n <= c.size);
   data_ = c.data.get() + pos.offset;
-  if (c.hashed) {
-    chunk_hash_ = &c.hash;
+  if (c.pieces.built()) {
+    chunk_ = &c;
     offset_ = pos.offset;
     len_ = static_cast<std::uint32_t>(n);
-    old_hash_ = poly::hash(data_, n);
+    if (c.folded) old_hash_ = poly::hash(data_, n);
   }
 }
 
 inline ChunkedBuffer::Edit::~Edit() {
-  if (chunk_hash_ == nullptr) return;
-  *chunk_hash_ = poly::add(
-      *chunk_hash_, poly::move_by(offset_, old_hash_, poly::hash(data_, len_)));
+  if (chunk_ == nullptr) return;
+  if (chunk_->folded) {
+    chunk_->hash = poly::add(
+        chunk_->hash,
+        poly::move_by(offset_, old_hash_, poly::hash(data_, len_)));
+  }
+  chunk_->pieces.overwrite(offset_, len_);
 }
 
 }  // namespace bsoap::buffer

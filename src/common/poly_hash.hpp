@@ -17,6 +17,15 @@
 //               degree < length has fewer roots). A power-of-two modulus
 //               would not do: Thue–Morse strings collide under 2^64.
 //
+// Both sides keep the hash of a range as a PieceTable: the hashes of
+// consecutive pieces of about kPiece bytes, each hashed as if at offset 0,
+// folded into the range's hash on demand. An overwrite moves the owner's
+// cached hash by its delta, as above, and only marks the pieces it lands
+// in; a splice (bytes inserted or removed) costs a rehash of only the
+// piece or two it lands in, because the pieces after it keep their own
+// hashes and only change weight in the fold. So a shifted patch costs the
+// bytes near its splices and overwrites, never the body.
+//
 // r is a fixed, documented constant, so this is a consistency check that
 // backs the diff-wire epoch chain, not an authenticator.
 #pragma once
@@ -24,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace bsoap::poly {
 
@@ -67,13 +77,110 @@ inline std::uint64_t move_by(std::size_t offset, std::uint64_t old_hash,
   return d == 0 ? 0 : mul(pow(offset), d);
 }
 
-/// move_by for a piece that also changes offset: the piece at `from`
-/// hashing to `old_hash` becomes one at `to` hashing to `new_hash`. A splice
-/// moves every later piece of the body this way.
-inline std::uint64_t move_to(std::size_t from, std::uint64_t old_hash,
-                             std::size_t to, std::uint64_t new_hash) {
-  if (from == to) return move_by(from, old_hash, new_hash);
-  return sub(mul(pow(to), new_hash), mul(pow(from), old_hash));
-}
+/// Target piece length of a PieceTable. Pieces stay within
+/// [kPiece/2, 2·kPiece]; only a table of one piece (a range shorter than
+/// that) may hold a shorter one. A full kPiece piece folds with one
+/// multiplication. 512 B won a DiffWire/shift sweep of 256, 512 and 1024
+/// (EXPERIMENTS.md).
+inline constexpr std::size_t kPiece = 512;
+
+/// The hash of one byte range (a chunk, a replica body), kept as the hashes
+/// of its consecutive pieces. The table holds no bytes: the operations that
+/// hash take the range's current bytes. Unbuilt until build(); a built
+/// table follows every change of the range — overwrites and splices mark
+/// the pieces they land in, refresh() rehashes each marked piece once
+/// (however many changes landed in it) — and fold() gives the range's
+/// hash. An in-place overwrite reads and writes no piece: it sets one bit
+/// per kPiece-byte block while the owner moves its cached hash by move_by,
+/// so a range that is only overwritten never rehashes a piece (touching a
+/// piece on every overwrite measured slower on overwrite-only patches).
+/// 16 bytes per piece.
+class PieceTable {
+ public:
+  bool built() const { return built_; }
+  /// Forgets every piece: the range is stale until the next build().
+  void reset() {
+    pieces_.clear();
+    overwritten_.clear();
+    built_ = false;
+  }
+
+  /// Cuts [data, data + n) into pieces and hashes each: the one O(n)
+  /// operation. Returns the bytes hashed (n).
+  std::size_t build(const char* data, std::size_t n);
+
+  /// The range's hash, Σ r^start_k · H_k, by a running weight. Only
+  /// between a refresh() and the next overwrite() or splice().
+  std::uint64_t fold() const;
+
+  /// The `n` bytes at `offset` were overwritten in place.
+  void overwrite(std::size_t offset, std::size_t n) {
+    if (n == 0) return;
+    const std::size_t last = (offset + n - 1) / kPiece;
+    if (last / 64 >= overwritten_.size()) overwritten_.resize(last / 64 + 1);
+    for (std::size_t b = offset / kPiece; b <= last; ++b) {
+      overwritten_[b / 64] |= std::uint64_t{1} << (b % 64);
+    }
+  }
+
+  /// The `old_len` bytes at `offset` became `new_len` bytes (the lengths
+  /// may be equal): the pieces they lay in become one dirty piece and the
+  /// later ones renumber. No bytes are read.
+  void splice(std::size_t offset, std::size_t old_len, std::size_t new_len);
+
+  /// Rehashes the dirty pieces from `data` (the range's bytes now), cut
+  /// back to piece length, and merges short pieces into a neighbour.
+  /// Returns the bytes hashed.
+  std::size_t refresh(const char* data);
+
+  /// Moves the pieces at and after `offset` of `data` into `tail`, rebased
+  /// to 0, and keeps the ones before. Only the piece that straddles
+  /// `offset` is rehashed: its tail side now, its head side (left dirty)
+  /// by the next refresh() — a chunk split splices there anyway. Returns
+  /// the bytes hashed.
+  std::size_t split(const char* data, std::size_t offset, PieceTable* tail);
+
+  /// Tests and debug builds: the pieces tile [0, n), and each clean one is
+  /// within its length bounds and hashes to its bytes. True when unbuilt.
+  bool check(const char* data, std::size_t n) const;
+
+ private:
+  struct Piece {
+    std::uint32_t start = 0;
+    std::uint32_t len = 0;
+    std::uint64_t hash = 0;  ///< kDirty until refresh() rehashes it
+  };
+  /// Not a hash value (every hash is < kModulus).
+  static constexpr std::uint64_t kDirty = ~std::uint64_t{0};
+
+  std::size_t end(std::size_t k) const {
+    return pieces_[k].start + pieces_[k].len;
+  }
+  /// Whether block b (bytes [b·kPiece, (b + 1)·kPiece)) was overwritten.
+  bool overwritten(std::size_t b) const {
+    return b / 64 < overwritten_.size() &&
+           (overwritten_[b / 64] >> (b % 64) & 1) != 0;
+  }
+  /// Index of the piece holding offset `at` (the last piece for the end of
+  /// the range).
+  std::size_t find(std::size_t at) const;
+  /// Marks the pieces under every overwritten block dirty and clears the
+  /// blocks: before anything that moves pieces or reads their hashes.
+  void settle();
+  /// Rehashes piece k from `data`, cut into pieces of piece length.
+  /// Returns bytes hashed.
+  std::size_t cut(const char* data, std::size_t k);
+  /// Merges pieces k and k + 1 (H = H_k + r^len_k · H_k+1), splitting the
+  /// result in half when it is too long. Returns bytes hashed.
+  std::size_t merge(const char* data, std::size_t k);
+  /// Merges every piece under kPiece/2 into a neighbour.
+  std::size_t merge_short(const char* data);
+
+  std::vector<Piece> pieces_;
+  /// One bit per kPiece-byte block of the range, set by overwrite() since
+  /// the last settle().
+  std::vector<std::uint64_t> overwritten_;
+  bool built_ = false;
+};
 
 }  // namespace bsoap::poly

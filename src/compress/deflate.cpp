@@ -490,10 +490,17 @@ Status inflate_block(BitReader* in, const HuffDecoder& literals,
     if (out->size() + static_cast<std::size_t>(length) > max_output) {
       return Error{ErrorCode::kOutOfRange, "deflate: output limit"};
     }
-    // Byte-by-byte copy: overlapping copies (distance < length) must repeat.
-    std::size_t from = out->size() - distance;
-    for (int k = 0; k < length; ++k) {
-      *out += (*out)[from++];
+    // One resize, then the copy: a memcpy when the source ends before the
+    // destination starts, else byte by byte, since an overlapping copy
+    // (distance < length) repeats the bytes it has just written.
+    const std::size_t at = out->size();
+    out->resize(at + static_cast<std::size_t>(length));
+    char* dst = out->data() + at;
+    const char* src = dst - distance;
+    if (distance >= static_cast<std::size_t>(length)) {
+      std::memcpy(dst, src, static_cast<std::size_t>(length));
+    } else {
+      for (int k = 0; k < length; ++k) dst[k] = src[k];
     }
   }
 }

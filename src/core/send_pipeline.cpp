@@ -518,9 +518,10 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
                                  report->patch_replay);
       if (!report->patch_replay && diffwire_->coding_ready(wire_id)) {
         // The server's replica now holds this body, so the next re-offer
-        // compresses against its tail, as it would after an offer.
+        // compresses against its tail, as it would after an offer. The
+        // tail is copied once, into scratch that is then swapped in.
         copy_dict_tail(tmpl.buffer(), flat_buf_);
-        diffwire_->set_dictionary(wire_id, flat_buf_);
+        diffwire_->set_dictionary(wire_id, std::move(flat_buf_));
       }
       report->envelope_bytes = payload_bytes;
       report->wire_bytes = wire_bytes;

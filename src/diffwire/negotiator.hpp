@@ -124,6 +124,13 @@ class ClientSession {
     if (it == states_.end()) return;
     it->second.dict.assign(dict);
   }
+  /// set_dictionary without the copy: swaps `dict` in, so `dict` comes back
+  /// holding the previous dictionary's buffer (reusable scratch).
+  void set_dictionary(std::uint64_t id, std::string&& dict) {
+    const auto it = states_.find(id);
+    if (it == states_.end()) return;
+    it->second.dict.swap(dict);
+  }
 
   /// The server acked preset coding for `id` (kCodingHeader on a response).
   void note_coding_ack(std::uint64_t id) {

@@ -35,7 +35,7 @@ bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
     replica.generation = gen;
     replica.attachment.reset();  // it described the replaced body
     replica.attachment_bytes = 0;
-    replica.hashed = false;
+    replica.pieces.reset();
     bytes_ += replica.bytes();
     lru_.splice(lru_.begin(), lru_, it->second);
     ++counters_.repins;
@@ -46,7 +46,7 @@ bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
                           options_.retain_dictionaries
                               ? std::string(dict_tail(body))
                               : std::string{},
-                          0, gen, nullptr, 0});
+                          0, gen, nullptr, 0, 0, {}});
   index_[id] = lru_.begin();
   bytes_ += lru_.front().bytes();
   ++counters_.pins;
@@ -140,61 +140,63 @@ Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
   for (const PatchRun& run : frame.runs) {
     resizes = resizes || run.length != run.old_length();
   }
-  // Overwrite-only frames patch in place; a frame with splices builds the
-  // new body in one pass (old segments and new bytes in order) and swaps it
-  // in. Either way the root moves exactly: each run by the delta of its
-  // bytes, and each unchanged segment past a splice by the change of its
-  // weight r^offset. Segments before the first splice keep their offsets
-  // and are never read, so a splice frame hashes at most the bytes after
-  // its first splice; the first patch after a pin hashes the whole body.
-  if (resizes) {
+  // Overwrite-only frames patch in place, each run moving the root by the
+  // delta of its bytes and marking them in the piece table, whose pieces
+  // are rehashed only once a splice frame needs them. A frame with splices
+  // builds the new body in one pass (old segments and new bytes in order),
+  // swaps it in, rehashes the pieces its runs (and earlier overwrites)
+  // landed in and refolds the root. The first patch after a pin builds the
+  // pieces from scratch.
+  const bool hashed = replica.pieces.built();
+  std::uint64_t root = replica.root;
+  if (!resizes) {
+    char* body = replica.body.data();
+    for (const PatchRun& run : frame.runs) {
+      if (hashed) {
+        root = poly::add(
+            root, poly::move_by(run.offset,
+                                poly::hash(body + run.offset, run.length),
+                                poly::hash(run.data, run.length)));
+        replica.pieces.overwrite(run.offset, run.length);
+      }
+      std::memcpy(body + run.offset, run.data, run.length);
+    }
+  } else {
+    const char* old = replica.body.data();
     splice_scratch_.clear();
     splice_scratch_.reserve(h.body_len);
-  }
-  const char* old = replica.body.data();
-  std::uint64_t root = replica.root;
-  std::size_t cursor = 0;  // old-body offset
-  std::ptrdiff_t shift = 0;  // new offset − old offset at the cursor
-  const auto move_segment = [&](std::size_t end) {
-    if (replica.hashed && shift != 0 && end > cursor) {
-      const std::uint64_t seg = poly::hash(old + cursor, end - cursor);
-      root = poly::add(root, poly::move_to(cursor, seg, cursor + shift, seg));
-    }
-    if (resizes) splice_scratch_.append(old + cursor, end - cursor);
-  };
-  for (const PatchRun& run : frame.runs) {
-    move_segment(run.offset);
-    if (replica.hashed) {
-      root = poly::add(
-          root, poly::move_to(run.offset,
-                              poly::hash(old + run.offset, run.old_length()),
-                              run.offset + shift,
-                              poly::hash(run.data, run.length)));
-    }
-    if (resizes) {
+    std::size_t cursor = 0;    // old-body offset
+    std::ptrdiff_t shift = 0;  // new offset − old offset at the cursor
+    for (const PatchRun& run : frame.runs) {
+      splice_scratch_.append(old + cursor, run.offset - cursor);
       splice_scratch_.append(run.data, run.length);
-    } else {
-      std::memcpy(replica.body.data() + run.offset, run.data, run.length);
+      if (hashed) {
+        replica.pieces.splice(run.offset + shift, run.old_length(),
+                              run.length);
+      }
+      cursor = run.offset + run.old_length();
+      shift += static_cast<std::ptrdiff_t>(run.length) -
+               static_cast<std::ptrdiff_t>(run.old_length());
     }
-    cursor = run.offset + run.old_length();
-    shift += static_cast<std::ptrdiff_t>(run.length) -
-             static_cast<std::ptrdiff_t>(run.old_length());
-  }
-  move_segment(replica.body.size());
-  if (resizes) {
+    splice_scratch_.append(old + cursor, replica.body.size() - cursor);
     bytes_ -= replica.bytes();
     replica.body.swap(splice_scratch_);
     bytes_ += replica.bytes();
+    if (hashed) {
+      counters_.hashed_bytes += replica.pieces.refresh(replica.body.data());
+      root = replica.pieces.fold();
+    }
   }
-  if (replica.hashed) {
-    replica.root = root;
-  } else {
-    replica.root = poly::hash(replica.body);
-    replica.hashed = true;
+  if (!hashed) {
+    counters_.hashed_bytes +=
+        replica.pieces.build(replica.body.data(), replica.body.size());
+    root = replica.pieces.fold();
     ++counters_.full_hashes;
   }
+  replica.root = root;
 #ifdef BSOAP_DEBUG_INVARIANTS
   BSOAP_ASSERT(replica.body.size() == h.body_len);
+  BSOAP_ASSERT(replica.pieces.check(replica.body.data(), replica.body.size()));
   BSOAP_ASSERT(replica.root == poly::hash(replica.body));
 #endif
   if (replica.root != h.checksum) {

@@ -4,12 +4,15 @@
 // template ID, kept verbatim so a patch frame reconstructs the sender's
 // current envelope by overwriting dirty runs in place. The store is shared
 // by every worker (blocking pool or reactor dispatch), so one mutex guards
-// the map — a patch apply is short: an overwrite-only frame costs O(run
-// bytes), each run's memcpy plus the integrity-root delta of the bytes it
-// overwrites (wire_format.hpp); a frame with splices rebuilds the body in
-// one pass and hashes at most the bytes after its first splice. Only the
-// first patch after a pin hashes the whole body. Requests for one template
-// arrive serialized per connection anyway.
+// the map — a patch apply is short. Each replica keeps its integrity root
+// as a piece table over the body (common/poly_hash.hpp): an overwrite-only
+// frame costs O(run bytes), each run's memcpy plus the root delta of the
+// bytes it overwrites (wire_format.hpp) and a bit in the table; a frame
+// with splices rebuilds the body in one pass, rehashes only the pieces its
+// runs (and overwrites since the last splice frame) landed in and refolds
+// the root, O(pieces) beyond those bytes. Only the first patch after a pin
+// hashes the whole body. Requests for one template arrive serialized per
+// connection anyway.
 //
 // Every validation failure is a NACK, and a NACK erases the replica: the
 // sender's next send is a full body with a fresh offer, which re-pins at
@@ -37,6 +40,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/poly_hash.hpp"
 #include "diffwire/wire_format.hpp"
 
 namespace bsoap::diffwire {
@@ -88,8 +92,8 @@ class ReplicaStore {
 
   /// Applies a decoded patch frame onto the pinned replica: validates ID,
   /// epoch, the length rule (replica length + Σ(new − old) == body_len) and
-  /// the body's integrity root (moved by each run's delta and each moved
-  /// segment's, hashed from scratch on the first patch after a pin), then
+  /// the body's integrity root (kept by the replica's piece table, built
+  /// from scratch on the first patch after a pin), then
   /// copies the reconstructed body into `reconstructed` and advances the
   /// replica's epoch. On any validation failure the replica is erased and
   /// an error describing the NACK reason is returned (kNotFound for an
@@ -139,6 +143,11 @@ class ReplicaStore {
     /// Whole-body root computations: at most one per pin generation (the
     /// first patch after a pin); steady patches move the root by deltas.
     std::uint64_t full_hashes = 0;
+    /// Bytes hashed from scratch: whole-body builds and the pieces a splice
+    /// frame rehashes (those its runs, and overwrite runs since the last
+    /// splice frame, landed in). The region hashes of overwrite runs are
+    /// not counted.
+    std::uint64_t hashed_bytes = 0;
     std::uint64_t evictions = 0;
     std::uint64_t pinned_replicas = 0;  ///< gauge
     std::uint64_t pinned_bytes = 0;     ///< gauge (incl. attachments)
@@ -159,10 +168,11 @@ class ReplicaStore {
     std::uint64_t generation = 0;
     std::shared_ptr<ReplicaAttachment> attachment;
     std::size_t attachment_bytes = 0;  ///< attachment->bytes() at attach
-    /// Integrity root of `body`, valid once `hashed` (lazily, from the
-    /// first patch after a pin: a replica that only re-offers never hashes).
+    /// Integrity root of `body` and its piece hashes, valid once `pieces`
+    /// is built (lazily, from the first patch after a pin: a replica that
+    /// only re-offers never hashes).
     std::uint64_t root = 0;
-    bool hashed = false;
+    poly::PieceTable pieces;
 
     std::size_t bytes() const {
       return body.size() + dict.size() + attachment_bytes;

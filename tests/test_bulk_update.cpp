@@ -304,7 +304,7 @@ TEST(BulkEquivalence, ParallelUpdateKeepsMaterializedRootExact) {
   // Each worker writes only its own chunks, and each chunk carries its own
   // integrity hash: once the root is materialized, a parallel update (no
   // journal armed, so the parallel path is eligible) must leave it equal to
-  // a from-scratch hash without rehashing any chunk.
+  // a from-scratch hash without hashing any piece from scratch.
   const std::size_t n = 4000;
   TemplateConfig cfg = bulk_config();
   cfg.stuffing.mode = StuffingPolicy::Mode::kTypeMax;
@@ -317,7 +317,7 @@ TEST(BulkEquivalence, ParallelUpdateKeepsMaterializedRootExact) {
   auto tmpl = build_template(soap::make_double_array_call(values), cfg);
   ASSERT_GT(tmpl->buffer().chunk_count(), 1u);
   tmpl->buffer().root();
-  const std::uint64_t rehashes = tmpl->buffer().chunk_rehashes();
+  const std::uint64_t hashed = tmpl->buffer().hashed_bytes();
 
   const auto pool = soap::random_doubles(n, 16);
   for (int step = 1; step <= 3; ++step) {
@@ -330,7 +330,7 @@ TEST(BulkEquivalence, ParallelUpdateKeepsMaterializedRootExact) {
     ASSERT_EQ(tmpl->buffer().root(), poly::hash(tmpl->buffer().linearize()))
         << "step " << step;
   }
-  EXPECT_EQ(tmpl->buffer().chunk_rehashes(), rehashes);
+  EXPECT_EQ(tmpl->buffer().hashed_bytes(), hashed);
   EXPECT_TRUE(tmpl->check_invariants());
 }
 

@@ -203,5 +203,137 @@ TEST(Gzip, ReferenceStreamInterop) {
   EXPECT_EQ(out.value(), "interop test");
 }
 
+/// Hand-coded fixed-Huffman DEFLATE: literals and back-references of an
+/// exact (length, distance), which an encoder would not pick on its own.
+class FixedBlockWriter {
+ public:
+  FixedBlockWriter() { bits(0b011, 3); }  // BFINAL=1, BTYPE=01 (fixed)
+
+  void literal(unsigned char c) {
+    if (c < 144) {
+      code(0x30 + c, 8);
+    } else {
+      code(0x190 + c - 144, 9);
+    }
+    expected_ += static_cast<char>(c);
+  }
+
+  void copy(int length, int distance) {
+    static constexpr int kLenBase[] = {3,  4,  5,  6,   7,   8,   9,   10,
+                                       11, 13, 15, 17,  19,  23,  27,  31,
+                                       35, 43, 51, 59,  67,  83,  99,  115,
+                                       131, 163, 195, 227, 258};
+    static constexpr int kLenExtra[] = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
+                                        1, 1, 2, 2, 2, 2, 3, 3, 3, 3,
+                                        4, 4, 4, 4, 5, 5, 5, 5, 0};
+    static constexpr int kDistBase[] = {
+        1,    2,    3,    4,    5,    7,    9,    13,    17,    25,
+        33,   49,   65,   97,   129,  193,  257,  385,   513,   769,
+        1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577};
+    static constexpr int kDistExtra[] = {0, 0, 0, 0, 1, 1, 2,  2,  3,  3,
+                                         4, 4, 5, 5, 6, 6, 7,  7,  8,  8,
+                                         9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
+    int lc = 28;
+    while (kLenBase[lc] > length) --lc;
+    const int symbol = 257 + lc;
+    if (symbol < 280) {
+      code(symbol - 256, 7);
+    } else {
+      code(0xC0 + symbol - 280, 8);
+    }
+    bits(static_cast<std::uint32_t>(length - kLenBase[lc]), kLenExtra[lc]);
+    int dc = 29;
+    while (kDistBase[dc] > distance) --dc;
+    code(static_cast<std::uint32_t>(dc), 5);
+    bits(static_cast<std::uint32_t>(distance - kDistBase[dc]), kDistExtra[dc]);
+    // The reference semantics: byte by byte, through the dictionary.
+    std::string window = dict_ + expected_;
+    for (int k = 0; k < length; ++k) {
+      window += window[window.size() - static_cast<std::size_t>(distance)];
+    }
+    expected_ = window.substr(dict_.size());
+  }
+
+  /// The block as a zlib stream (FDICT set when `dict` is not empty).
+  std::string zlib(std::string_view dict = {}) {
+    code(0, 7);  // end of block
+    if (nbits_ > 0) out_ += static_cast<char>(acc_);
+    std::string stream = dict.empty() ? std::string("\x78\x01", 2)
+                                      : std::string("\x78\x20", 2);
+    const auto put32 = [&stream](std::uint32_t v) {
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        stream += static_cast<char>((v >> shift) & 0xff);
+      }
+    };
+    if (!dict.empty()) put32(adler32(dict));
+    stream += out_;
+    put32(adler32(expected_));
+    return stream;
+  }
+
+  void set_dictionary(std::string dict) { dict_ = std::move(dict); }
+  const std::string& expected() const { return expected_; }
+
+ private:
+  void bits(std::uint32_t value, int n) {
+    for (int i = 0; i < n; ++i) {
+      acc_ |= ((value >> i) & 1u) << nbits_;
+      if (++nbits_ == 8) {
+        out_ += static_cast<char>(acc_);
+        acc_ = 0;
+        nbits_ = 0;
+      }
+    }
+  }
+  void code(std::uint32_t value, int n) {  // Huffman codes go MSB first
+    for (int i = n - 1; i >= 0; --i) bits((value >> i) & 1u, 1);
+  }
+
+  std::string out_;
+  std::uint32_t acc_ = 0;
+  int nbits_ = 0;
+  std::string dict_;
+  std::string expected_;
+};
+
+TEST(ZlibDecompress, BackReferencesAtEveryOverlap) {
+  // distance 1 (a run), distance == length − 1 (overlap by one byte),
+  // distance == length (adjacent, no overlap) and distance > length.
+  struct Case {
+    int length;
+    int distance;
+  };
+  for (const Case c : {Case{258, 1}, Case{40, 39}, Case{3, 2}, Case{30, 30},
+                       Case{258, 258}, Case{10, 200}}) {
+    FixedBlockWriter block;
+    for (int i = 0; i < 300; ++i) {
+      block.literal(static_cast<unsigned char>('a' + (i * 7) % 26));
+    }
+    block.copy(c.length, c.distance);
+    block.literal('!');
+    block.copy(c.length, c.distance);
+    const Result<std::string> out = zlib_decompress(block.zlib());
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    EXPECT_EQ(out.value(), block.expected())
+        << c.length << "/" << c.distance;
+    EXPECT_EQ(out.value().size(), 300u + 2u * c.length + 1u);
+  }
+}
+
+TEST(ZlibDecompress, BackReferencesReachIntoThePresetDictionary) {
+  const std::string dict = "<item>0.125</item><item>0.5</item>";
+  for (const int distance : {1, 5, 20, 34}) {
+    FixedBlockWriter block;
+    block.set_dictionary(dict);
+    block.copy(20, distance);  // the output starts with a copy
+    block.literal('x');
+    block.copy(25, distance + 1);
+    const Result<std::string> out =
+        zlib_decompress(block.zlib(dict), 1u << 20, dict);
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    EXPECT_EQ(out.value(), block.expected()) << distance;
+  }
+}
+
 }  // namespace
 }  // namespace bsoap::compress

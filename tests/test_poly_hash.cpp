@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -262,39 +263,230 @@ TEST(ChunkedRoot, MaintainedRootEqualsScratchUnderRandomEdits) {
   }
 }
 
-TEST(ChunkedRoot, OnlyShiftedChunksRehash) {
+TEST(ChunkedRoot, ShiftsRehashOnlyThePiecesTheyLandIn) {
+  // Chunks of many pieces: a shift must cost the bytes of the piece or two
+  // it lands in, never its chunk.
   ChunkConfig config;
-  config.chunk_size = 256;
-  config.split_threshold = 512;
+  config.chunk_size = 16 * poly::kPiece;
+  config.split_threshold = 24 * poly::kPiece;
   config.tail_reserve = 64;
   ChunkedBuffer buf(config);
   Rng rng(7);
-  buf.append(random_bytes(rng, 4000));
-  const std::size_t chunks = buf.chunk_count();
+  buf.append(random_bytes(rng, 40 * poly::kPiece));
+  ASSERT_GT(buf.chunk_count(), 2u);
 
-  // Never asked for a root: no chunk is ever hashed.
+  // Never asked for a root: nothing is ever hashed.
   buf.write_at(BufPos{1, 3}, "abc", 3);
-  EXPECT_EQ(buf.chunk_rehashes(), 0u);
+  EXPECT_EQ(buf.hashed_bytes(), 0u);
 
-  // The first root hashes every chunk once; in-place writes add nothing.
+  // The first root hashes every byte once; in-place writes (here all in
+  // chunk 1) add nothing.
   buf.root();
-  EXPECT_EQ(buf.chunk_rehashes(), chunks);
+  const std::size_t built = buf.total_size();
+  EXPECT_EQ(buf.hashed_bytes(), built);
+  const std::size_t chunk1 = buf.chunk_view(1).size();
   for (int i = 0; i < 200; ++i) {
-    const Region r = random_region(rng, buf, 32);
-    const std::string repl = random_bytes(rng, r.len);
-    buf.write_at(r.pos, repl.data(), repl.size());
+    const auto at = static_cast<std::uint32_t>(rng.next_below(chunk1));
+    const std::string repl =
+        random_bytes(rng, rng.next_below(std::min<std::size_t>(
+                              chunk1 - at, 3 * poly::kPiece) + 1));
+    buf.write_at(BufPos{1, at}, repl.data(), repl.size());
   }
   EXPECT_EQ(buf.root(), poly::hash(buf.linearize()));
-  EXPECT_EQ(buf.chunk_rehashes(), chunks);
+  EXPECT_EQ(buf.hashed_bytes(), built);
 
-  // A shift inside one chunk rehashes exactly that chunk.
-  buf.expand_at(BufPos{2, 10}, 4, 8);
-  buf.write_at(BufPos{2, 10}, "12345678", 8);
+  // The first shift in chunk 1 also rehashes the pieces those writes
+  // landed in, once: at most the chunk.
+  std::uint64_t before = buf.hashed_bytes();
+  buf.expand_at(BufPos{1, 1000}, 4, 8);
+  buf.write_at(BufPos{1, 1000}, "12345678", 8);
   EXPECT_EQ(buf.root(), poly::hash(buf.linearize()));
-  EXPECT_EQ(buf.chunk_rehashes(), chunks + 1);
-  buf.contract_at(BufPos{2, 10}, 8, 4);
+  EXPECT_LE(buf.hashed_bytes() - before, chunk1 + 4);
+
+  // From then on a shift rehashes at most the pieces it lands in, each
+  // < 2·kPiece, plus the bytes it adds; a contraction likewise.
+  const std::size_t bound = 2 * (2 * poly::kPiece);
+  before = buf.hashed_bytes();
+  buf.expand_at(BufPos{1, 3000}, 4, 8);
+  buf.write_at(BufPos{1, 3000}, "12345678", 8);
   EXPECT_EQ(buf.root(), poly::hash(buf.linearize()));
-  EXPECT_EQ(buf.chunk_rehashes(), chunks + 2);
+  EXPECT_GT(buf.hashed_bytes(), before);
+  EXPECT_LE(buf.hashed_bytes() - before, bound + 8);
+  before = buf.hashed_bytes();
+  buf.contract_at(BufPos{1, 3000}, 8, 4);
+  EXPECT_EQ(buf.root(), poly::hash(buf.linearize()));
+  EXPECT_LE(buf.hashed_bytes() - before, bound);
+
+  // A split rehashes the piece that straddles the split point (its tail
+  // side at once, its head side with the dirty piece of the shift that
+  // follows), and the shift's new bytes.
+  before = buf.hashed_bytes();
+  const std::size_t chunks = buf.chunk_count();
+  const std::size_t grow = config.split_threshold;
+  const buffer::ExpandResult split = buf.expand_at(BufPos{0, 100}, 0, grow);
+  ASSERT_EQ(split.outcome, buffer::ExpandOutcome::kSplit);
+  EXPECT_EQ(buf.chunk_count(), chunks + 1);
+  EXPECT_EQ(buf.root(), poly::hash(buf.linearize()));
+  EXPECT_LE(buf.hashed_bytes() - before, 2 * bound + grow);
+  EXPECT_TRUE(buf.check_invariants());
+}
+
+/// One random step of the buffer model: an Edit (possibly across piece
+/// boundaries, possibly a steal-style memmove inside its span), an
+/// expansion (slack, realloc or split), or a contraction, applied to the
+/// buffer and to the flat oracle alike.
+void random_buffer_step(Rng& rng, ChunkedBuffer& buf, std::string& oracle,
+                        std::size_t max_grow) {
+  const Region r = random_region(rng, buf, 3 * poly::kPiece);
+  const std::size_t abs = absolute(buf, r.pos);
+  switch (rng.next_below(4)) {
+    case 0: {  // overwrite
+      const std::string repl = random_bytes(rng, r.len);
+      buf.write_at(r.pos, repl.data(), repl.size());
+      oracle.replace(abs, r.len, repl);
+      break;
+    }
+    case 1: {  // steal-style span: slide its bytes right inside one edit
+      if (r.len < 2) break;
+      const std::size_t by = 1 + rng.next_below(r.len - 1);
+      const ChunkedBuffer::Edit edit(buf, r.pos, r.len);
+      std::memmove(edit.data() + by, edit.data(), r.len - by);
+      oracle.replace(abs + by, r.len - by, oracle.substr(abs, r.len - by));
+      break;
+    }
+    case 2: {  // expansion, then the rewrite
+      const std::size_t grown = r.len + 1 + rng.next_below(max_grow);
+      const std::string repl = random_bytes(rng, grown);
+      buf.expand_at(r.pos, r.len, grown);
+      buf.write_at(r.pos, repl.data(), repl.size());
+      oracle.replace(abs, r.len, repl);
+      break;
+    }
+    default: {  // contraction, then the rewrite
+      const std::size_t shrunk = rng.next_below(r.len + 1);
+      const std::string repl = random_bytes(rng, shrunk);
+      buf.contract_at(r.pos, r.len, shrunk);
+      buf.write_at(r.pos, repl.data(), repl.size());
+      oracle.replace(abs, r.len, repl);
+      break;
+    }
+  }
+}
+
+TEST(PieceModel, ChunkedBufferPiecesFollowEveryOperation) {
+  // 16 seeds × 200 operations on chunks of a few pieces each, so Edits
+  // cross piece boundaries and expansions hit slack, realloc and split.
+  // After every step the root and every piece hash match the bytes.
+  std::size_t reallocs = 0;
+  std::size_t splits = 0;
+  std::vector<std::size_t> capacities;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed * 101);
+    ChunkConfig config;
+    config.chunk_size = (2 + rng.next_below(6)) * poly::kPiece;
+    config.split_threshold =
+        config.chunk_size + rng.next_below(4) * poly::kPiece;
+    config.tail_reserve = rng.next_below(poly::kPiece / 2);
+    ChunkedBuffer buf(config);
+    std::string oracle =
+        random_bytes(rng, (4 + rng.next_below(30)) * poly::kPiece);
+    buf.append(oracle);
+    ASSERT_EQ(buf.root(), poly::hash(oracle));
+    for (int step = 0; step < 200; ++step) {
+      capacities.clear();
+      for (std::size_t i = 0; i < buf.chunk_count(); ++i) {
+        capacities.push_back(buf.chunk_capacity(i));
+      }
+      random_buffer_step(rng, buf, oracle, 2 * poly::kPiece);
+      if (buf.chunk_count() > capacities.size()) {
+        ++splits;
+      } else {
+        for (std::size_t i = 0; i < capacities.size(); ++i) {
+          if (buf.chunk_capacity(i) != capacities[i]) ++reallocs;
+        }
+      }
+      ASSERT_TRUE(buf.check_invariants())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(buf.root(), poly::hash(oracle))
+          << "seed " << seed << " step " << step;
+      ASSERT_TRUE(buf.check_invariants())
+          << "seed " << seed << " step " << step;
+    }
+    ASSERT_EQ(buf.linearize(), oracle);
+  }
+  EXPECT_GT(reallocs, 0u);
+  EXPECT_GT(splits, 0u);
+}
+
+TEST(PieceModel, FlatTablePiecesFollowOverwritesAndSplices) {
+  // The replica's use: one flat range, overwrite runs in place and frames
+  // of sorted splices (grow, shrink, insert, delete, several per piece),
+  // refreshed after each frame and now and then after overwrites; after
+  // every step, also a split of a copy at a random offset.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed * 37 + 5);
+    std::string body = random_bytes(rng, rng.next_below(20 * poly::kPiece));
+    poly::PieceTable table;
+    table.build(body.data(), body.size());
+    for (int step = 0; step < 200; ++step) {
+      bool refreshed = true;
+      if (rng.chance(1, 2) && !body.empty()) {
+        const std::size_t at = rng.next_below(body.size());
+        const std::size_t n = rng.next_below(
+            std::min(body.size() - at, 3 * poly::kPiece) + 1);
+        body.replace(at, n, random_bytes(rng, n));
+        table.overwrite(at, n);
+        refreshed = rng.chance(1, 3);
+        if (refreshed) table.refresh(body.data());
+      } else {
+        // Sorted splices in old offsets, applied in order the way the
+        // replica applies a frame's runs.
+        std::string next;
+        std::size_t cursor = 0;
+        std::ptrdiff_t shift = 0;
+        std::size_t at = rng.next_below(poly::kPiece);
+        for (int runs = 0; at <= body.size() && runs < 12; ++runs) {
+          const std::size_t old_len = rng.next_below(
+              std::min<std::size_t>(body.size() - at, poly::kPiece) + 1);
+          const std::size_t new_len =
+              rng.chance(1, 8) ? 0 : rng.next_below(poly::kPiece);
+          table.splice(at + shift, old_len, new_len);
+          shift += static_cast<std::ptrdiff_t>(new_len) -
+                   static_cast<std::ptrdiff_t>(old_len);
+          next.append(body, cursor, at - cursor);
+          next += random_bytes(rng, new_len);
+          cursor = at + old_len;
+          at = cursor + rng.next_below(3 * poly::kPiece);
+        }
+        next.append(body, cursor);
+        body = std::move(next);
+        table.refresh(body.data());
+      }
+      ASSERT_TRUE(table.check(body.data(), body.size()))
+          << "seed " << seed << " step " << step;
+      if (refreshed) {
+        ASSERT_EQ(table.fold(), poly::hash(body))
+            << "seed " << seed << " step " << step;
+      }
+
+      // A split of a copy: both halves hash their bytes.
+      const std::size_t at = rng.next_below(body.size() + 1);
+      poly::PieceTable head = table;
+      poly::PieceTable tail;
+      head.split(body.data(), at, &tail);
+      head.refresh(body.data());
+      tail.refresh(body.data() + at);
+      ASSERT_TRUE(head.check(body.data(), at)) << "seed " << seed;
+      ASSERT_TRUE(tail.check(body.data() + at, body.size() - at))
+          << "seed " << seed;
+      ASSERT_EQ(head.fold(), poly::hash(body.data(), at)) << "seed " << seed;
+      ASSERT_EQ(tail.fold(), poly::hash(body.data() + at, body.size() - at))
+          << "seed " << seed;
+    }
+    table.refresh(body.data());
+    ASSERT_TRUE(table.check(body.data(), body.size())) << "seed " << seed;
+    ASSERT_EQ(table.fold(), poly::hash(body)) << "seed " << seed;
+  }
 }
 
 // --- the sender: templates -------------------------------------------------
@@ -362,7 +554,7 @@ TEST(TemplateRoot, JournalRollbackRestoresTheRoot) {
   ASSERT_TRUE(journal.rollback(*tmpl));
   EXPECT_EQ(tmpl->buffer().linearize(), bytes_before);
   EXPECT_EQ(tmpl->buffer().root(), before);
-  EXPECT_EQ(tmpl->buffer().chunk_rehashes(), tmpl->buffer().chunk_count());
+  EXPECT_EQ(tmpl->buffer().hashed_bytes(), tmpl->buffer().total_size());
 }
 
 // --- the receiver: ReplicaStore --------------------------------------------
@@ -476,6 +668,59 @@ TEST(ReplicaRoot, SortedOverwriteAndSpliceRunsStayExact) {
   EXPECT_EQ(store.stats().pinned_replicas, 0u);
 }
 
+TEST(PieceModel, ReplicaFollowsRandomOverwriteAndSpliceFrames) {
+  // 16 seeds × 200 frames, overwrite-only (patched in place) and with
+  // splices (rebuilt): every apply must pass the checksum (the maintained
+  // root equals the hash from scratch). An overwrite-only frame hashes
+  // nothing from scratch, and a splice frame only the pieces its runs and
+  // the overwrite runs since the last splice frame landed in, never the
+  // body.
+  constexpr std::size_t kMax = 2 * poly::kPiece;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed * 7 + 3);
+    std::string body = random_bytes(rng, 64 * poly::kPiece);
+    diffwire::ReplicaStore store;
+    store.pin(1, body);
+    std::string reconstructed;
+    std::size_t pending = 0;  // overwrite runs since the last splice frame
+    for (std::uint32_t epoch = 1; epoch <= 200; ++epoch) {
+      const bool splices = epoch > 1 && rng.chance(1, 2);
+      std::vector<SpliceSpec> runs;
+      std::size_t at = rng.next_below(2 * poly::kPiece);
+      std::size_t moved_bytes = 0;
+      while (at < body.size() && runs.size() < 4) {
+        const auto old_len = static_cast<std::uint32_t>(rng.next_below(
+            std::min<std::size_t>(body.size() - at, poly::kPiece) + 1));
+        const std::size_t new_len =
+            splices ? rng.next_below(poly::kPiece) : old_len;
+        runs.push_back(SpliceSpec{static_cast<std::uint32_t>(at), old_len,
+                                  random_bytes(rng, new_len)});
+        moved_bytes += old_len + new_len;
+        at += old_len + rng.next_below(body.size() / 3);
+      }
+      const std::uint64_t hashed_before = store.stats().hashed_bytes;
+      const diffwire::PatchFrame frame = make_splice_frame(epoch, body, runs);
+      const Status applied = store.apply(frame, &reconstructed);
+      ASSERT_TRUE(applied.ok())
+          << "seed " << seed << " epoch " << epoch << ": "
+          << applied.error().to_string();
+      ASSERT_EQ(reconstructed, body);
+      const std::uint64_t hashed = store.stats().hashed_bytes - hashed_before;
+      if (epoch == 1) {
+        EXPECT_EQ(hashed, body.size());  // the build after the pin
+      } else if (!splices) {
+        EXPECT_EQ(hashed, 0u) << "seed " << seed << " epoch " << epoch;
+        pending += runs.size();
+      } else {
+        EXPECT_LE(hashed, moved_bytes + (runs.size() + pending) * 3 * kMax)
+            << "seed " << seed << " epoch " << epoch;
+        pending = 0;
+      }
+    }
+    EXPECT_EQ(store.stats().full_hashes, 1u);
+  }
+}
+
 TEST(ReplicaRoot, OverlappingOrRepeatedRunsNack) {
   // Version 3 runs are sorted and disjoint in old-body offsets: a repeated
   // or overlapping run is a malformed frame, whatever its checksum says.
@@ -584,7 +829,7 @@ TEST(RootAgreement, ChunkedSenderRootMatchesFlatReplicaRoot) {
     ASSERT_TRUE(applied.ok()) << applied.error().to_string();
   }
   EXPECT_GT(straddling, 0u);
-  EXPECT_EQ(tmpl->buffer().chunk_rehashes(), tmpl->buffer().chunk_count());
+  EXPECT_EQ(tmpl->buffer().hashed_bytes(), tmpl->buffer().total_size());
   EXPECT_EQ(store.stats().full_hashes, 1u);
 }
 
