@@ -18,6 +18,9 @@
 //     leaves they touch.
 //   DiffDeser/replay/0    — unchanged resends cross as header-only replay
 //     frames; the cached call is served with zero parse work.
+//   DiffDeser/replay_large/0 — the same replays over 10,000 values, not
+//     capped by BSOAP_BENCH_MAX_N: a replica apply that touches only the
+//     frame's runs costs the same at either body size.
 //   DiffDeser/reactor_fullparse/10, DiffDeser/reactor_fastparse/10 — the
 //     same 1%-dirty comparison on the epoll engine.
 //
@@ -25,7 +28,8 @@
 // stage must be >= 5x faster than full parse (both engines), clean
 // fast-parse series must report zero demotions, the replay series must
 // serve from the cache alone (content hits, no fast/extra full parses),
-// and every DiffDeser entry must report failed == 0.
+// replay_large's patch-apply stage must stay within 2x replay's, and every
+// DiffDeser entry must report failed == 0.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -58,6 +62,10 @@ std::size_t payload_size() {
   return n;
 }
 
+/// The replay_large body: 10-20x the capped payload, so an apply stage that
+/// scaled with the body would show it.
+constexpr std::size_t kLargePayload = 10000;
+
 constexpr int kRequestsPerIter = 64;
 
 enum class Mode { kFullParse, kFastParse, kReplay };
@@ -69,7 +77,7 @@ Result<soap::Value> sum_handler(const soap::RpcCall& call) {
 }
 
 void bench_point(benchmark::State& state, int permille, Mode mode,
-                 server::IoModel io_model) {
+                 server::IoModel io_model, std::size_t n) {
   server::RecvStageTimings timings;
   server::ServerRuntimeOptions options;
   options.workers = 2;
@@ -89,7 +97,6 @@ void bench_point(benchmark::State& state, int permille, Mode mode,
   config.diffwire = true;
   core::BsoapClient client(dial, config);
 
-  const std::size_t n = payload_size();
   const std::size_t dirty =
       mode == Mode::kReplay
           ? 0
@@ -101,7 +108,10 @@ void bench_point(benchmark::State& state, int permille, Mode mode,
   bsoap::Rng rng(static_cast<std::uint64_t>(permille) * 6271 + 29);
 
   // Warmup: builds the template, pins the replica, and (fused modes)
-  // primes the cached parse. Stage timings restart at zero after it.
+  // primes the cached parse; an unchanged resend then builds the replica's
+  // piece table, a once-per-pin cost. Stage timings restart at zero after
+  // it.
+  must(client.invoke(soap::make_double_array_call(values)));
   must(client.invoke(soap::make_double_array_call(values)));
   timings.reset();
 
@@ -144,11 +154,12 @@ void bench_point(benchmark::State& state, int permille, Mode mode,
 }
 
 void register_point(const std::string& name, int permille, Mode mode,
-                    server::IoModel io_model) {
+                    server::IoModel io_model,
+                    std::size_t n = payload_size()) {
   benchmark::RegisterBenchmark(
       name.c_str(),
-      [permille, mode, io_model](benchmark::State& state) {
-        bench_point(state, permille, mode, io_model);
+      [permille, mode, io_model, n](benchmark::State& state) {
+        bench_point(state, permille, mode, io_model, n);
       })
       ->Iterations(2)
       ->Unit(benchmark::kMillisecond)
@@ -165,6 +176,8 @@ void register_bench() {
   // Header-only replays: the content-hit series (dirty = 0).
   register_point("DiffDeser/replay/0", 0, Mode::kReplay,
                  server::IoModel::kBlocking);
+  register_point("DiffDeser/replay_large/0", 0, Mode::kReplay,
+                 server::IoModel::kBlocking, kLargePayload);
   // Same 1%-dirty comparison through the epoll engine.
   register_point("DiffDeser/reactor_fullparse/10", 10, Mode::kFullParse,
                  server::IoModel::kReactor);

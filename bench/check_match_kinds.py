@@ -292,7 +292,10 @@ def check_diffdeser(bench, entries):
       rewrites never touch structural bytes, so any demotion means the
       region map or the run intersection broke);
     * the replay series must serve from the cache alone: content hits > 0,
-      zero fast parses, and exactly the warmup's one full parse.
+      zero fast parses, and exactly the warmup's one full parse;
+    * replay_large (10,000 values) must apply its frames in <= 2x the
+      patch-apply time of replay (the capped payload, 10-20x smaller): a
+      replica apply costs the frame's runs, not the body.
     """
     points = {}  # (mode, permille) -> counters
     errors = []
@@ -329,7 +332,7 @@ def check_diffdeser(bench, entries):
                     f">= 5x faster than full parse ({full:.0f} ns/req)")
 
     for (mode, permille), c in points.items():
-        if mode != "replay":
+        if mode not in ("replay", "replay_large"):
             continue
         if (not c.get("content_hits", 0) or c.get("fast_parses", 0)
                 or c.get("full_parses", 0) != 1 or c.get("demotions", 0)):
@@ -340,6 +343,15 @@ def check_diffdeser(bench, entries):
                 f"fast={c.get('fast_parses', 0):.0f} "
                 f"full={c.get('full_parses', 0):.0f} "
                 f"demotions={c.get('demotions', 0):.0f}")
+
+    if ("replay", 0) in points and ("replay_large", 0) in points:
+        small = points[("replay", 0)].get("patch_apply_ns_per_req", 0)
+        large = points[("replay_large", 0)].get("patch_apply_ns_per_req", 0)
+        if small > 0 and large > 2 * small:
+            errors.append(
+                f"{bench} DiffDeser/replay_large/0: patch apply "
+                f"{large:.0f} ns/req is more than 2x replay/0's "
+                f"{small:.0f} ns/req — the apply scales with the body")
     return errors
 
 

@@ -273,7 +273,7 @@ inline ChunkedBuffer::Edit::~Edit() {
   if (chunk_->folded) {
     chunk_->hash = poly::add(
         chunk_->hash,
-        poly::move_by(offset_, old_hash_, poly::hash(data_, len_)));
+        poly::move_by(offset_, poly::sub(poly::hash(data_, len_), old_hash_)));
   }
   chunk_->pieces.overwrite(offset_, len_);
 }

@@ -105,6 +105,37 @@ std::uint64_t hash(const char* data, std::size_t n) {
   return acc;
 }
 
+std::uint64_t hash_change(const char* before, const char* after,
+                          std::size_t n) {
+  const auto* b = reinterpret_cast<const unsigned char*>(before);
+  const auto* a = reinterpret_cast<const unsigned char*>(after);
+  // A byte difference times a 32-bit half fits 41 signed bits, so a block
+  // accumulates in two signed 64-bit sums; each sum's magnitude is below p.
+  const auto to_field = [](std::int64_t v) {
+    return v >= 0 ? static_cast<std::uint64_t>(v)
+                  : sub(0, static_cast<std::uint64_t>(-v));
+  };
+  std::uint64_t acc = 0;
+  std::uint64_t weight = 1;  // r^(block start)
+  while (n > 0) {
+    const std::size_t take = std::min(n, kBlock);
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    for (std::size_t j = 0; j < take; ++j) {
+      const std::int64_t d = std::int64_t{a[j]} - std::int64_t{b[j]};
+      lo += d * kTables.lo[j];
+      hi += d * kTables.hi[j];
+    }
+    const std::uint64_t block = add(mul(to_field(hi), kTwo32), to_field(lo));
+    acc = add(acc, mul(weight, block));
+    weight = mul(weight, kTables.block_weight);
+    a += take;
+    b += take;
+    n -= take;
+  }
+  return acc;
+}
+
 std::size_t PieceTable::find(std::size_t at) const {
   BSOAP_ASSERT(!pieces_.empty());
   // Pieces are cut at multiples of kPiece and only splices move them, so

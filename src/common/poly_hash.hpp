@@ -67,14 +67,18 @@ inline std::uint64_t hash(std::string_view bytes) {
   return hash(bytes.data(), bytes.size());
 }
 
-/// How the hash of a whole moves when the piece at `offset` goes from
-/// hashing to `old_hash` to hashing to `new_hash` (both as pieces at offset
-/// 0): add the result to the whole's hash. This is the one overwrite rule
-/// both sides of the diff wire apply.
-inline std::uint64_t move_by(std::size_t offset, std::uint64_t old_hash,
-                             std::uint64_t new_hash) {
-  const std::uint64_t d = sub(new_hash, old_hash);
-  return d == 0 ? 0 : mul(pow(offset), d);
+/// hash(after, n) − hash(before, n): how the hash of a piece at offset 0
+/// changes when its n bytes go from `before` to `after`, in one pass over
+/// both.
+std::uint64_t hash_change(const char* before, const char* after,
+                          std::size_t n);
+
+/// How the hash of a whole moves when the piece at `offset` changes by
+/// `change` (its hash as a piece at offset 0, after minus before): add the
+/// result to the whole's hash. This is the one overwrite rule both sides
+/// of the diff wire apply.
+inline std::uint64_t move_by(std::size_t offset, std::uint64_t change) {
+  return change == 0 ? 0 : mul(pow(offset), change);
 }
 
 /// Target piece length of a PieceTable. Pieces stay within

@@ -266,11 +266,10 @@ Recovery SendPipeline::recover_failed_send() {
   return Recovery::kNone;
 }
 
-std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
-                                            std::uint64_t wire_id,
-                                            std::uint32_t epoch,
-                                            SendReport* report,
-                                            bool slice_body) {
+std::string_view SendPipeline::build_patch_frame(MessageTemplate& tmpl,
+                                                 std::uint64_t wire_id,
+                                                 std::uint32_t epoch,
+                                                 SendReport* report) {
   const buffer::ChunkedBuffer& buf = tmpl.buffer();
 
   patch_runs_.clear();
@@ -347,79 +346,31 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
   // stale replica.
   header.checksum = tmpl.buffer().root();
 
+  // Header, run headers and run bytes are copied into one buffer, so the
+  // frame is one body slice: one write, and one chunk under chunked framing.
   patch_buf_.clear();
   diffwire::append_patch_header(patch_buf_, header);
-  body_slices_.clear();
-  std::size_t total = 0;
   // Run offsets are in the receiver's (old) body: each run sits earlier by
   // the growth of the runs before it.
-  const auto append_run_header = [this](const PatchRunScratch& r,
-                                        std::uint32_t growth_before) {
-    const std::uint32_t old_offset = r.offset - growth_before;
+  std::uint32_t growth = 0;
+  for (const PatchRunScratch& r : patch_runs_) {
+    const std::uint32_t old_offset = r.offset - growth;
     if (r.growth == 0) {
       diffwire::append_run_header(patch_buf_, old_offset, r.length());
     } else {
       diffwire::append_splice_header(patch_buf_, old_offset, r.length(),
                                      r.length() - r.growth);
     }
-  };
-  std::uint32_t growth = 0;
-  if (!slice_body) {
-    for (const PatchRunScratch& r : patch_runs_) {
-      append_run_header(r, growth);
-      growth += r.growth;
-      const std::size_t at = patch_buf_.size();
-      patch_buf_.resize(at + r.length());
-      buf.read_at(r.pos, patch_buf_.data() + at, r.length());
-    }
-    total = patch_buf_.size();
-    body_slices_.push_back(
-        net::ConstSlice{patch_buf_.data(), patch_buf_.size()});
-  } else {
-    // Pass 1: every run header into patch_buf_ first — taking slices while
-    // still appending would dangle them on a reallocation.
-    patch_hdr_ends_.clear();
-    patch_hdr_ends_.reserve(patch_runs_.size());
-    for (const PatchRunScratch& r : patch_runs_) {
-      append_run_header(r, growth);
-      growth += r.growth;
-      patch_hdr_ends_.push_back(patch_buf_.size());
-    }
-    total = patch_buf_.size();
-    // Pass 2: interleave patch_buf_ segments with the runs' bytes read in
-    // place from the template buffer, splitting at chunk boundaries. The
-    // first segment carries the patch header along with run 0's header.
-    std::size_t prev = 0;
-    for (std::size_t i = 0; i < patch_runs_.size(); ++i) {
-      const PatchRunScratch& r = patch_runs_[i];
-      body_slices_.push_back(net::ConstSlice{patch_buf_.data() + prev,
-                                             patch_hdr_ends_[i] - prev});
-      prev = patch_hdr_ends_[i];
-      std::size_t chunk = r.pos.chunk;
-      std::size_t off = r.pos.offset;
-      std::size_t n = r.length();
-      total += n;
-      while (n > 0) {
-        const std::string_view view = buf.chunk_view(chunk);
-        const std::size_t take = std::min<std::size_t>(n, view.size() - off);
-        if (take > 0) {
-          body_slices_.push_back(net::ConstSlice{view.data() + off, take});
-        }
-        n -= take;
-        ++chunk;
-        off = 0;
-      }
-    }
-    if (patch_runs_.empty()) {  // replay frame: header only
-      body_slices_.push_back(
-          net::ConstSlice{patch_buf_.data(), patch_buf_.size()});
-    }
+    growth += r.growth;
+    const std::size_t at = patch_buf_.size();
+    patch_buf_.resize(at + r.length());
+    buf.read_at(r.pos, patch_buf_.data() + at, r.length());
   }
 
   report->patch_send = true;
   report->patch_replay = patch_runs_.empty();
   report->patch_runs = header.run_count;
-  return total;
+  return patch_buf_;
 }
 
 bool SendPipeline::encode_payload(http::ContentCoding coding,
@@ -471,9 +422,9 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
       // Patch frames go uncoded: a preset stream indexes its whole
       // dictionary per frame, which costs more than the frame's few hundred
       // bytes would save. Preset coding is for full re-offers.
-      const std::size_t payload_bytes = build_patch_frame(
-          tmpl, wire_id, epoch, report,
-          /*slice_body=*/&framing == &http::content_length_framer());
+      const std::string_view frame =
+          build_patch_frame(tmpl, wire_id, epoch, report);
+      const std::size_t payload_bytes = frame.size();
 
       http::HttpRequest head;
       head.method = "POST";
@@ -496,9 +447,7 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
       framing.add_headers(head.headers, payload_bytes);
       head_text_ = http::serialize_request_head(head);
 
-      // body_slices_ was filled by build_patch_frame; the run bytes may be
-      // referenced in place from the template buffer, which stays valid
-      // (and unmutated) across this write.
+      body_slices_.assign(1, net::ConstSlice{frame.data(), frame.size()});
       wire_slices_.clear();
       wire_slices_.push_back(
           net::ConstSlice{head_text_.data(), head_text_.size()});

@@ -308,19 +308,13 @@ class SendPipeline {
   /// first-time.
   void end_checkout(bool drop);
 
-  /// Gathers the patch frame for a diff-wire patch send (overwrite and
-  /// splice runs derived from the armed journal, or a header-only replay
-  /// frame) into body_slices_,
-  /// returning the frame's total byte count. With `slice_body` set, only
-  /// the patch header and run headers are materialized (in patch_buf_);
-  /// each run's bytes are referenced as sub-slices of the template buffer
-  /// — zero copies, sound because the write completes before the template
-  /// is updated again. Otherwise the whole frame is flattened into patch_buf_
-  /// (the chunked framer wraps each body slice as one HTTP chunk, so slice
-  /// emission would change its wire bytes).
-  std::size_t build_patch_frame(MessageTemplate& tmpl, std::uint64_t wire_id,
-                                std::uint32_t epoch, SendReport* report,
-                                bool slice_body);
+  /// Builds the patch frame for a diff-wire patch send in patch_buf_ —
+  /// overwrite and splice runs derived from the armed journal, or a
+  /// header-only replay frame — and returns it. Run bytes are copied out of
+  /// the template, so the frame is one contiguous payload.
+  std::string_view build_patch_frame(MessageTemplate& tmpl,
+                                     std::uint64_t wire_id,
+                                     std::uint32_t epoch, SendReport* report);
 
   /// Compresses `raw` into coded_buf_ under `coding` (kDeflatePreset runs
   /// the reusable DeflateStream preset with `dict`). Returns true when the
@@ -368,7 +362,6 @@ class SendPipeline {
   std::vector<std::uint32_t> touched_scratch_;
   std::vector<PatchRunScratch> patch_runs_;
   std::vector<std::size_t> chunk_offsets_;
-  std::vector<std::size_t> patch_hdr_ends_;  ///< run-header ends in patch_buf_
 };
 
 }  // namespace bsoap::core

@@ -20,49 +20,45 @@ std::string_view dict_tail(std::string_view body) {
 
 bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
                        std::uint64_t* generation) {
+  // Built outside the lock; published (or swapped in for a re-pin, which
+  // drops the previous attachment with the previous replica) under it.
+  auto replica = std::make_shared<Replica>(
+      id, body,
+      options_.retain_dictionaries ? dict_tail(body) : std::string_view{});
+  replica->body_bytes = replica->body.size() + replica->dict.size();
+  std::shared_ptr<Replica> replaced;  // released after the lock
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t gen = ++generation_counter_;
-  if (generation != nullptr) *generation = gen;
+  replica->generation = ++generation_counter_;
+  if (generation != nullptr) *generation = replica->generation;
+  bytes_ += replica->bytes();
   const auto it = index_.find(id);
-  if (it != index_.end()) {
-    Replica& replica = *it->second;
-    bytes_ -= replica.bytes();
-    replica.body.assign(body);
-    replica.epoch = 0;
-    replica.dict.assign(options_.retain_dictionaries ? dict_tail(body)
-                                                     : std::string_view{});
-    replica.dict_id = 0;
-    replica.generation = gen;
-    replica.attachment.reset();  // it described the replaced body
-    replica.attachment_bytes = 0;
-    replica.pieces.reset();
-    bytes_ += replica.bytes();
-    lru_.splice(lru_.begin(), lru_, it->second);
+  const bool repin = it != index_.end();
+  if (repin) {
+    replaced = std::move(*it->second);
+    bytes_ -= replaced->bytes();
+    lru_.erase(it->second);
     ++counters_.repins;
-    enforce_budget_locked();
-    return true;
+  } else {
+    ++counters_.pins;
   }
-  lru_.push_front(Replica{id, std::string(body), 0,
-                          options_.retain_dictionaries
-                              ? std::string(dict_tail(body))
-                              : std::string{},
-                          0, gen, nullptr, 0, 0, {}});
+  lru_.push_front(std::move(replica));
   index_[id] = lru_.begin();
-  bytes_ += lru_.front().bytes();
-  ++counters_.pins;
   enforce_budget_locked();
-  return false;
+  return repin;
 }
 
 bool ReplicaStore::attach(std::uint64_t id, std::uint64_t generation,
                           std::shared_ptr<ReplicaAttachment> attachment) {
+  const std::size_t bytes = attachment != nullptr ? attachment->bytes() : 0;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(id);
-  if (it == index_.end() || it->second->generation != generation) return false;
-  Replica& replica = *it->second;
+  if (it == index_.end() || (*it->second)->generation != generation) {
+    return false;
+  }
+  Replica& replica = **it->second;
   bytes_ -= replica.attachment_bytes;
-  replica.attachment_bytes = attachment != nullptr ? attachment->bytes() : 0;
-  replica.attachment = std::move(attachment);
+  replica.attachment_bytes = bytes;
+  replica.attachment.swap(attachment);
   bytes_ += replica.attachment_bytes;
   enforce_budget_locked();
   return true;
@@ -73,68 +69,72 @@ std::shared_ptr<ReplicaAttachment> ReplicaStore::attachment(
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(id);
   if (it == index_.end()) return nullptr;
-  return it->second->attachment;
+  return (*it->second)->attachment;
+}
+
+std::shared_ptr<ReplicaStore::Replica> ReplicaStore::find(std::uint64_t id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(id);
+  if (it == index_.end()) return nullptr;
+  return *it->second;
 }
 
 Result<std::string> ReplicaStore::decode_preset(std::uint64_t id,
                                                 std::string_view body,
                                                 std::size_t max_output) {
-  std::string dict;
+  const std::shared_ptr<Replica> replica = find(id);
+  if (replica == nullptr) {
+    ++counters_.nacks;
+    return Error{ErrorCode::kNotFound, "template not pinned"};
+  }
+  Result<std::string> decoded = [&] {
+    std::lock_guard<std::mutex> lock(replica->mu);
+    if (replica->dict_id == 0 && !replica->dict.empty()) {
+      replica->dict_id = compress::adler32(replica->dict);
+    }
+    const std::optional<std::uint32_t> wanted =
+        compress::zlib_dictionary_id(body);
+    const std::string_view dict =
+        options_.retain_dictionaries && wanted.has_value() &&
+                *wanted != replica->dict_id
+            ? dict_tail(replica->body)
+            : std::string_view(replica->dict);
+    return compress::zlib_decompress(body, max_output, dict);
+  }();
+  // Undecodable preset body: same treatment as a bad patch frame — erase
+  // the replica so the NACK answer drives the sender's full-send re-pin.
+  if (!decoded.ok()) nack(*replica);
+  return decoded;
+}
+
+Status ReplicaStore::patch(const PatchFrame& frame, Applied* out) {
+  const PatchHeader& h = frame.header;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(id);
+    const auto it = index_.find(h.template_id);
     if (it == index_.end()) {
       ++counters_.nacks;
       return Error{ErrorCode::kNotFound, "template not pinned"};
     }
-    // Copies: the inflate runs outside the lock.
-    Replica& replica = *it->second;
-    if (replica.dict_id == 0 && !replica.dict.empty()) {
-      replica.dict_id = compress::adler32(replica.dict);
-    }
-    const std::optional<std::uint32_t> wanted =
-        compress::zlib_dictionary_id(body);
-    if (options_.retain_dictionaries && wanted.has_value() &&
-        *wanted != replica.dict_id) {
-      dict.assign(dict_tail(replica.body));
-    } else {
-      dict = replica.dict;
-    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    out->replica = *it->second;
+    out->info.attachment = out->replica->attachment;
+    out->info.generation = out->replica->generation;
   }
-  Result<std::string> decoded = compress::zlib_decompress(body, max_output, dict);
-  if (decoded.ok()) return decoded;
-  // Undecodable preset body: same treatment as a bad patch frame — erase
-  // the replica so the NACK answer drives the sender's full-send re-pin.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(id);
-    if (it != index_.end()) remove_locked(it->second);
-    ++counters_.nacks;
-  }
-  return decoded.error();
-}
-
-Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
-                           ApplyInfo* info) {
-  const PatchHeader& h = frame.header;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(h.template_id);
-  if (it == index_.end()) {
-    ++counters_.nacks;
-    return Error{ErrorCode::kNotFound, "template not pinned"};
-  }
-  Replica& replica = *it->second;
+  Replica& replica = *out->replica;
+  out->lock = std::unique_lock<std::mutex>(replica.mu);
+  const auto reject = [&](std::string reason) -> Status {
+    nack(replica);
+    return Error{ErrorCode::kProtocolError, std::move(reason)};
+  };
   if (h.epoch != replica.epoch + 1) {
-    return nack_locked(it->second, h.template_id,
-                       "epoch " + std::to_string(h.epoch) + " != expected " +
-                           std::to_string(replica.epoch + 1));
+    return reject("epoch " + std::to_string(h.epoch) + " != expected " +
+                  std::to_string(replica.epoch + 1));
   }
   const Result<std::size_t> old_len = old_body_length(frame);
-  if (!old_len.ok()) {
-    return nack_locked(it->second, h.template_id, old_len.error().message);
-  }
+  if (!old_len.ok()) return reject(old_len.error().message);
   if (old_len.value() != replica.body.size()) {
-    return nack_locked(it->second, h.template_id, "body length mismatch");
+    return reject("body length mismatch");
   }
   bool resizes = false;
   for (const PatchRun& run : frame.runs) {
@@ -143,10 +143,11 @@ Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
   // Overwrite-only frames patch in place, each run moving the root by the
   // delta of its bytes and marking them in the piece table, whose pieces
   // are rehashed only once a splice frame needs them. A frame with splices
-  // builds the new body in one pass (old segments and new bytes in order),
-  // swaps it in, rehashes the pieces its runs (and earlier overwrites)
-  // landed in and refolds the root. The first patch after a pin builds the
-  // pieces from scratch.
+  // builds the new body in one pass (old segments and new bytes in order)
+  // in a per-thread scratch, swaps it in (the old body's buffer serves the
+  // thread's next splice), rehashes the pieces its runs (and earlier
+  // overwrites) landed in and refolds the root. The first patch after a pin
+  // builds the pieces from scratch.
   const bool hashed = replica.pieces.built();
   std::uint64_t root = replica.root;
   if (!resizes) {
@@ -155,21 +156,22 @@ Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
       if (hashed) {
         root = poly::add(
             root, poly::move_by(run.offset,
-                                poly::hash(body + run.offset, run.length),
-                                poly::hash(run.data, run.length)));
+                                poly::hash_change(body + run.offset, run.data,
+                                                  run.length)));
         replica.pieces.overwrite(run.offset, run.length);
       }
       std::memcpy(body + run.offset, run.data, run.length);
     }
   } else {
+    thread_local std::string splice_scratch;
     const char* old = replica.body.data();
-    splice_scratch_.clear();
-    splice_scratch_.reserve(h.body_len);
+    splice_scratch.clear();
+    splice_scratch.reserve(h.body_len);
     std::size_t cursor = 0;    // old-body offset
     std::ptrdiff_t shift = 0;  // new offset − old offset at the cursor
     for (const PatchRun& run : frame.runs) {
-      splice_scratch_.append(old + cursor, run.offset - cursor);
-      splice_scratch_.append(run.data, run.length);
+      splice_scratch.append(old + cursor, run.offset - cursor);
+      splice_scratch.append(run.data, run.length);
       if (hashed) {
         replica.pieces.splice(run.offset + shift, run.old_length(),
                               run.length);
@@ -178,10 +180,8 @@ Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
       shift += static_cast<std::ptrdiff_t>(run.length) -
                static_cast<std::ptrdiff_t>(run.old_length());
     }
-    splice_scratch_.append(old + cursor, replica.body.size() - cursor);
-    bytes_ -= replica.bytes();
-    replica.body.swap(splice_scratch_);
-    bytes_ += replica.bytes();
+    splice_scratch.append(old + cursor, replica.body.size() - cursor);
+    replica.body.swap(splice_scratch);
     if (hashed) {
       counters_.hashed_bytes += replica.pieces.refresh(replica.body.data());
       root = replica.pieces.fold();
@@ -199,19 +199,21 @@ Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
   BSOAP_ASSERT(replica.pieces.check(replica.body.data(), replica.body.size()));
   BSOAP_ASSERT(replica.root == poly::hash(replica.body));
 #endif
-  if (replica.root != h.checksum) {
-    return nack_locked(it->second, h.template_id, "checksum mismatch");
-  }
+  if (replica.root != h.checksum) return reject("checksum mismatch");
   replica.epoch = h.epoch;
-  reconstructed->assign(replica.body);
-  if (info != nullptr) {
-    info->attachment = replica.attachment;
-    info->generation = replica.generation;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
   ++counters_.applies;
   if (h.replay() || frame.runs.empty()) ++counters_.replays;
-  if (resizes) enforce_budget_locked();  // never evicts the MRU replica
+  if (resizes) {
+    // The body changed size: re-charge it while the store still holds it.
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(replica.id);
+    if (it != index_.end() && it->second->get() == &replica) {
+      bytes_ -= replica.body_bytes;
+      replica.body_bytes = replica.body.size() + replica.dict.size();
+      bytes_ += replica.body_bytes;
+      enforce_budget_locked();
+    }
+  }
   return Status{};
 }
 
@@ -224,31 +226,41 @@ bool ReplicaStore::invalidate(std::uint64_t id) {
 }
 
 void ReplicaStore::clear() {
+  std::list<std::shared_ptr<Replica>> dropped;  // released after the lock
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
+  dropped.swap(lru_);
   index_.clear();
   bytes_ = 0;
 }
 
 ReplicaStore::Stats ReplicaStore::stats() const {
+  Stats s;
+  s.pins = counters_.pins;
+  s.repins = counters_.repins;
+  s.applies = counters_.applies;
+  s.replays = counters_.replays;
+  s.nacks = counters_.nacks;
+  s.full_hashes = counters_.full_hashes;
+  s.hashed_bytes = counters_.hashed_bytes;
+  s.evictions = counters_.evictions;
   std::lock_guard<std::mutex> lock(mu_);
-  Stats s = counters_;
   s.pinned_replicas = lru_.size();
   s.pinned_bytes = bytes_;
   return s;
 }
 
-Status ReplicaStore::nack_locked(LruIter it, std::uint64_t id,
-                                 const std::string& reason) {
-  (void)id;
-  remove_locked(it);
+void ReplicaStore::nack(const Replica& replica) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(replica.id);
+  if (it != index_.end() && it->second->get() == &replica) {
+    remove_locked(it->second);
+  }
   ++counters_.nacks;
-  return Error{ErrorCode::kProtocolError, reason};
 }
 
 void ReplicaStore::remove_locked(LruIter it) {
-  bytes_ -= it->bytes();
-  index_.erase(it->id);
+  bytes_ -= (*it)->bytes();
+  index_.erase((*it)->id);
   lru_.erase(it);
 }
 

@@ -3,16 +3,27 @@
 // The receiver's half of template pinning: the last full body seen for each
 // template ID, kept verbatim so a patch frame reconstructs the sender's
 // current envelope by overwriting dirty runs in place. The store is shared
-// by every worker (blocking pool or reactor dispatch), so one mutex guards
-// the map — a patch apply is short. Each replica keeps its integrity root
-// as a piece table over the body (common/poly_hash.hpp): an overwrite-only
-// frame costs O(run bytes), each run's memcpy plus the root delta of the
-// bytes it overwrites (wire_format.hpp) and a bit in the table; a frame
-// with splices rebuilds the body in one pass, rehashes only the pieces its
-// runs (and overwrites since the last splice frame) landed in and refolds
-// the root, O(pieces) beyond those bytes. Only the first patch after a pin
-// hashes the whole body. Requests for one template arrive serialized per
-// connection anyway.
+// by every worker (blocking pool or reactor dispatch). Each replica keeps
+// its integrity root as a piece table over the body (common/poly_hash.hpp):
+// an overwrite-only frame costs O(run bytes), each run's memcpy plus the
+// root delta of the bytes it overwrites (wire_format.hpp) and a bit in the
+// table; a frame with splices rebuilds the body in one pass, rehashes only
+// the pieces its runs (and overwrites since the last splice frame) landed
+// in and refolds the root, O(pieces) beyond those bytes. Only the first
+// patch after a pin hashes the whole body.
+//
+// Locking. Each replica has its own mutex and lives behind a shared_ptr;
+// the store mutex guards only the index, the LRU, the byte budget and the
+// attachments. apply() finds the replica under the store mutex, takes a
+// reference, drops the store mutex and locks the replica: validation, the
+// patch and the caller's serve callback — which reads the body in place —
+// run under that replica's lock alone, so a long parse of one replica never
+// stalls another. A re-pin publishes a new replica, and an eviction, NACK
+// or clear only drops the store's reference, so a body being served stays
+// valid until its serve returns. The store mutex is a leaf: code holding it
+// never waits on a replica's mutex (or anything a serve callback locks). A
+// NACK, and the budget update after a splice, take it briefly while they
+// hold the replica's lock.
 //
 // Every validation failure is a NACK, and a NACK erases the replica: the
 // sender's next send is a full body with a fresh offer, which re-pins at
@@ -31,6 +42,7 @@
 // simply falls back to a full send on its next patch (NACK → re-pin).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -38,6 +50,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/poly_hash.hpp"
@@ -54,7 +67,7 @@ class ReplicaAttachment {
  public:
   virtual ~ReplicaAttachment() = default;
   /// Heap bytes the attachment holds, charged to the store's byte budget
-  /// when attached. Called under the store's lock: must not block.
+  /// when attached. Called with no store lock held.
   virtual std::size_t bytes() const = 0;
 };
 
@@ -83,8 +96,8 @@ class ReplicaStore {
   bool pin(std::uint64_t id, std::string_view body,
            std::uint64_t* generation = nullptr);
 
-  /// What apply() observed under its lock, for callers that maintain
-  /// per-replica attachments.
+  /// What apply() observed, for callers that maintain per-replica
+  /// attachments.
   struct ApplyInfo {
     std::shared_ptr<ReplicaAttachment> attachment;  ///< null if none attached
     std::uint64_t generation = 0;
@@ -93,14 +106,22 @@ class ReplicaStore {
   /// Applies a decoded patch frame onto the pinned replica: validates ID,
   /// epoch, the length rule (replica length + Σ(new − old) == body_len) and
   /// the body's integrity root (kept by the replica's piece table, built
-  /// from scratch on the first patch after a pin), then
-  /// copies the reconstructed body into `reconstructed` and advances the
-  /// replica's epoch. On any validation failure the replica is erased and
-  /// an error describing the NACK reason is returned (kNotFound for an
-  /// unknown ID, kProtocolError otherwise). On success `*info` (when
-  /// non-null) receives the replica's attachment and generation.
-  Status apply(const PatchFrame& frame, std::string* reconstructed,
-               ApplyInfo* info = nullptr);
+  /// from scratch on the first patch after a pin), advances the replica's
+  /// epoch and calls `serve(std::string_view body, const ApplyInfo& info)`
+  /// with a view of the replica's own body, still under the replica's lock.
+  /// The view is valid only during the call; an eviction or re-pin while
+  /// it runs leaves it intact. On any validation failure the replica is
+  /// erased, `serve` is not called, and an error describing the NACK
+  /// reason is returned (kNotFound for an unknown ID, kProtocolError
+  /// otherwise).
+  template <typename Serve>
+  Status apply(const PatchFrame& frame, Serve&& serve) {
+    Applied applied;
+    BSOAP_RETURN_IF_ERROR(patch(frame, &applied));
+    std::forward<Serve>(serve)(std::string_view(applied.replica->body),
+                               applied.info);
+    return Status{};
+  }
 
   /// Attaches per-replica state to `id`, but only while the replica is
   /// still the same pin generation the caller observed — a racing re-pin
@@ -118,8 +139,8 @@ class ReplicaStore {
   /// (the offer's tail, fixed until the next re-pin), or the tail of the
   /// replica as it stands after its patches — the last body both sides
   /// agreed on, which a sender that records the tail after every patch
-  /// codes against. The dictionary is copied under the lock and the inflate
-  /// runs outside it, so a large body never stalls other workers. Any
+  /// codes against. The inflate reads the dictionary in place under the
+  /// replica's lock, so it never stalls another replica's workers. Any
   /// failure — unknown ID (kNotFound), dictionary mismatch, corrupt stream,
   /// `max_output` exceeded — erases the replica and counts a NACK, exactly
   /// like a bad patch frame: the sender falls back to an identity full send
@@ -156,45 +177,66 @@ class ReplicaStore {
 
  private:
   struct Replica {
-    std::uint64_t id = 0;
-    std::string body;
-    std::uint32_t epoch = 0;
-    /// Pin-generation dictionary: the tail (≤ 32 KiB) of the body as it was
-    /// pinned. Fixed until the next re-pin, while `body` moves under
-    /// patches; decode_preset serves either.
-    std::string dict;
-    std::uint32_t dict_id = 0;  ///< Adler-32 of `dict`, 0 until computed
+    Replica(std::uint64_t id_in, std::string_view body_in,
+            std::string_view dict_in)
+        : id(id_in), dict(dict_in), body(body_in) {}
+
+    // Fixed once published: a re-pin publishes a new Replica.
+    const std::uint64_t id;
     /// Monotonic pin counter: attach() refuses stale generations.
     std::uint64_t generation = 0;
-    std::shared_ptr<ReplicaAttachment> attachment;
-    std::size_t attachment_bytes = 0;  ///< attachment->bytes() at attach
+    /// Pin-generation dictionary: the tail (≤ 32 KiB) of the body as it was
+    /// pinned, while `body` moves under patches; decode_preset serves
+    /// either.
+    const std::string dict;
+
+    // Guarded by `mu`.
+    std::mutex mu;
+    std::string body;
+    std::uint32_t epoch = 0;
+    std::uint32_t dict_id = 0;  ///< Adler-32 of `dict`, 0 until computed
     /// Integrity root of `body` and its piece hashes, valid once `pieces`
     /// is built (lazily, from the first patch after a pin: a replica that
     /// only re-offers never hashes).
     std::uint64_t root = 0;
     poly::PieceTable pieces;
 
-    std::size_t bytes() const {
-      return body.size() + dict.size() + attachment_bytes;
-    }
-  };
-  using LruIter = std::list<Replica>::iterator;
+    // Guarded by the store's `mu_`.
+    std::shared_ptr<ReplicaAttachment> attachment;
+    std::size_t attachment_bytes = 0;  ///< attachment->bytes() at attach
+    std::size_t body_bytes = 0;        ///< body + dict, as last charged
 
-  /// Erases under the held lock and counts the NACK.
-  Status nack_locked(LruIter it, std::uint64_t id, const std::string& reason);
+    std::size_t bytes() const { return body_bytes + attachment_bytes; }
+  };
+  using LruIter = std::list<std::shared_ptr<Replica>>::iterator;
+
+  /// A patched replica, locked, for apply() to serve from. `lock` is
+  /// released before `replica`'s reference.
+  struct Applied {
+    std::shared_ptr<Replica> replica;
+    std::unique_lock<std::mutex> lock;
+    ApplyInfo info;
+  };
+
+  /// apply() up to the serve: finds, locks, validates and patches.
+  Status patch(const PatchFrame& frame, Applied* out);
+  std::shared_ptr<Replica> find(std::uint64_t id);
+  /// Erases `replica` if the index still holds it and counts the NACK.
+  void nack(const Replica& replica);
   void remove_locked(LruIter it);
   void enforce_budget_locked();
 
   Options options_;
   mutable std::mutex mu_;
-  std::list<Replica> lru_;  ///< front = most recently used
+  std::list<std::shared_ptr<Replica>> lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, LruIter> index_;
-  /// A splice frame's new body is built here and swapped with the
-  /// replica's, so the old body's buffer serves the next splice.
-  std::string splice_scratch_;
   std::size_t bytes_ = 0;
   std::uint64_t generation_counter_ = 0;
-  Stats counters_;
+  /// Counters bumped under either lock, so atomics.
+  struct Counters {
+    std::atomic<std::uint64_t> pins{0}, repins{0}, applies{0}, replays{0},
+        nacks{0}, full_hashes{0}, hashed_bytes{0}, evictions{0};
+  } counters_;
 };
 
 }  // namespace bsoap::diffwire

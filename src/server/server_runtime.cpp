@@ -241,17 +241,12 @@ bool ServerRuntime::answer_request(Worker& worker,
                                    const http::HttpRequest& request,
                                    net::Transport& transport) {
   std::string_view body = request.body;
-  std::string reconstructed;  // patch sends: the replayed envelope
   std::string preset_decoded;  // preset-coded sends: the inflated body
   // Diff-wire: reconstruct patch frames against the pinned replica, and pin
   // (or re-pin) full bodies the client offers. The ack rides back on this
   // request's response via extra_headers.
   std::vector<http::Header> diff_headers;
   const std::vector<http::Header>* extra_headers = nullptr;
-  // Differential deserialization: the decoded patch frame and the replica's
-  // attachment observed under apply()'s lock, carried to the parse stage.
-  std::optional<diffwire::PatchFrame> patch;
-  diffwire::ReplicaStore::ApplyInfo apply_info;
   bool offered = false;
   std::uint64_t offer_id = 0;
   std::uint64_t offer_generation = 0;
@@ -263,6 +258,91 @@ bool ServerRuntime::answer_request(Worker& worker,
                                                                 begin)
         .count();
   };
+
+  // Produce the handler's RpcCall. Diff-wire requests go through the
+  // replica's cached parse (ParsedReplica) when differential
+  // deserialization is on; everything else is a full parse into a
+  // request-local call. The lease must outlive the handler AND the
+  // response write — on the uncontended path the call points into the
+  // shared deserializer the lease's lock protects. A patch is parsed inside
+  // ReplicaStore::apply, from the replica's body in place; a fresh cached
+  // parse is attached once apply has returned.
+  const bool fused = replicas_ != nullptr && options_.diff_deserialize;
+  core::ParsedReplica::Lease lease;
+  soap::RpcCall full_call;
+  std::shared_ptr<core::ParsedReplica> fresh_parse;
+  const auto record_deser = [this](
+                                const core::ParsedReplica::ServeReport& r) {
+    switch (r.path) {
+      case core::DiffDeserializer::ApplyPath::kContentHit:
+        stats_.deser_content_hits.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case core::DiffDeserializer::ApplyPath::kFastParse:
+        stats_.deser_fast_parses.fetch_add(1, std::memory_order_relaxed);
+        stats_.deser_leaves_reparsed.fetch_add(r.leaves_reparsed,
+                                               std::memory_order_relaxed);
+        break;
+      case core::DiffDeserializer::ApplyPath::kFullParse:
+        stats_.deser_full_parses.fetch_add(1, std::memory_order_relaxed);
+        break;
+    }
+    if (r.demoted) {
+      stats_.deser_demotions.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  // `patch` and `applied` are set for a patch served from its replica.
+  const auto parse = [&](std::string_view text,
+                         const diffwire::PatchFrame* patch,
+                         const diffwire::ReplicaStore::ApplyInfo* applied)
+      -> Result<const soap::RpcCall*> {
+    const Clock::time_point parse_begin =
+        obs != nullptr ? Clock::now() : Clock::time_point{};
+    Result<const soap::RpcCall*> parsed =
+        [&]() -> Result<const soap::RpcCall*> {
+      if (fused && patch != nullptr) {
+        core::ParsedReplica::ServeReport report;
+        auto cached =
+            std::static_pointer_cast<core::ParsedReplica>(applied->attachment);
+        const bool fresh = cached == nullptr;
+        if (fresh) cached = std::make_shared<core::ParsedReplica>();
+        Result<core::ParsedReplica::Lease> served =
+            fresh ? core::ParsedReplica::serve_full(cached, text,
+                                                    patch->header.epoch,
+                                                    &report)
+                  : core::ParsedReplica::serve_patch(cached, text,
+                                                     patch->header.epoch,
+                                                     patch->runs, &report);
+        if (!served.ok()) return served.error();
+        if (fresh) fresh_parse = std::move(cached);
+        record_deser(report);
+        lease = std::move(served.value());
+        return &lease.call();
+      }
+      if (fused && offered) {
+        // The offer's full body serves this request and primes the
+        // replica's cached parse for the patches that follow.
+        core::ParsedReplica::ServeReport report;
+        auto cached = std::make_shared<core::ParsedReplica>();
+        Result<core::ParsedReplica::Lease> served =
+            core::ParsedReplica::serve_full(cached, text, 0, &report);
+        if (!served.ok()) return served.error();
+        (void)replicas_->attach(offer_id, offer_generation, cached);
+        record_deser(report);
+        lease = std::move(served.value());
+        return &lease.call();
+      }
+      Result<soap::RpcCall> full = soap::read_rpc_envelope(text);
+      if (!full.ok()) return full.error();
+      full_call = std::move(full.value());
+      return &full_call;
+    }();
+    if (obs != nullptr) {
+      obs->on_stage(RecvStage::kParse, elapsed_ns(parse_begin), text.size());
+    }
+    return parsed;
+  };
+  std::optional<Result<const soap::RpcCall*>> call;
+
   if (replicas_ != nullptr) {
     // Second differential layer: a preset-coded body (full re-offer or
     // patch frame) decodes against the pinned generation's dictionary
@@ -316,7 +396,8 @@ bool ServerRuntime::answer_request(Worker& worker,
             .send(diffwire::render_nack_response(0, frame.error().message))
             .ok();
       }
-      const diffwire::PatchHeader& header = frame.value().header;
+      const diffwire::PatchFrame& patch = frame.value();
+      const diffwire::PatchHeader& header = patch.header;
       if (header.body_len > options_.max_inflate_bytes) {
         // A patch reconstructs a body of body_len bytes regardless of the
         // frame's own size, so it must honor the same inflation bound
@@ -329,8 +410,17 @@ bool ServerRuntime::answer_request(Worker& worker,
                       "patch body_len exceeds max_inflate_bytes"}))
             .ok();
       }
-      const Status applied =
-          replicas_->apply(frame.value(), &reconstructed, &apply_info);
+      std::uint64_t generation = 0;
+      const Status applied = replicas_->apply(
+          patch, [&](std::string_view replica_body,
+                     const diffwire::ReplicaStore::ApplyInfo& info) {
+            if (obs != nullptr) {
+              obs->on_stage(RecvStage::kPatchApply, elapsed_ns(apply_begin),
+                            replica_body.size());
+            }
+            generation = info.generation;
+            call = parse(replica_body, &patch, &info);
+          });
       if (!applied.ok()) {
         // Unknown template, epoch gap, bad bounds or checksum: the replica
         // (if any) has been dropped; the sender re-offers on its fallback.
@@ -340,23 +430,22 @@ bool ServerRuntime::answer_request(Worker& worker,
                                                  applied.error().message))
             .ok();
       }
-      if (obs != nullptr) {
-        obs->on_stage(RecvStage::kPatchApply, elapsed_ns(apply_begin),
-                      reconstructed.size());
+      if (fresh_parse != nullptr) {
+        // Refused when a re-pin raced the parse: the next patch simply
+        // full-parses again. Never a NACK.
+        (void)replicas_->attach(header.template_id, generation,
+                                std::move(fresh_parse));
       }
       stats_.patch_sends.fetch_add(1, std::memory_order_relaxed);
       if (header.replay()) {
         stats_.patch_replays.fetch_add(1, std::memory_order_relaxed);
       }
-      if (reconstructed.size() > request.body.size()) {
+      if (header.body_len > request.body.size()) {
         // Against the actual wire payload, so a preset-coded frame's
         // compression saving counts too.
-        stats_.bytes_saved.fetch_add(
-            reconstructed.size() - request.body.size(),
-            std::memory_order_relaxed);
+        stats_.bytes_saved.fetch_add(header.body_len - request.body.size(),
+                                     std::memory_order_relaxed);
       }
-      body = reconstructed;
-      patch = std::move(frame.value());
     } else {
       const http::Header* diff = request.find(diffwire::kDiffHeader);
       const http::Header* id_header = request.find(diffwire::kTemplateHeader);
@@ -391,93 +480,18 @@ bool ServerRuntime::answer_request(Worker& worker,
       }
     }
   }
-
-  // Produce the handler's RpcCall. Diff-wire requests go through the
-  // replica's cached parse (ParsedReplica) when differential
-  // deserialization is on; everything else is a full parse into a
-  // request-local call. The lease must outlive the handler AND the
-  // response write — on the uncontended path the call points into the
-  // shared deserializer the lease's lock protects.
-  const bool fused = replicas_ != nullptr && options_.diff_deserialize;
-  core::ParsedReplica::Lease lease;
-  soap::RpcCall full_call;
-  const auto record_deser = [this](
-                                const core::ParsedReplica::ServeReport& r) {
-    switch (r.path) {
-      case core::DiffDeserializer::ApplyPath::kContentHit:
-        stats_.deser_content_hits.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case core::DiffDeserializer::ApplyPath::kFastParse:
-        stats_.deser_fast_parses.fetch_add(1, std::memory_order_relaxed);
-        stats_.deser_leaves_reparsed.fetch_add(r.leaves_reparsed,
-                                               std::memory_order_relaxed);
-        break;
-      case core::DiffDeserializer::ApplyPath::kFullParse:
-        stats_.deser_full_parses.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
-    if (r.demoted) {
-      stats_.deser_demotions.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  const Clock::time_point parse_begin =
-      obs != nullptr ? Clock::now() : Clock::time_point{};
-  Result<const soap::RpcCall*> call =
-      [&]() -> Result<const soap::RpcCall*> {
-    if (fused && patch.has_value()) {
-      core::ParsedReplica::ServeReport report;
-      auto parsed =
-          std::static_pointer_cast<core::ParsedReplica>(apply_info.attachment);
-      const bool fresh = parsed == nullptr;
-      if (fresh) parsed = std::make_shared<core::ParsedReplica>();
-      Result<core::ParsedReplica::Lease> served =
-          fresh ? core::ParsedReplica::serve_full(parsed, body,
-                                                  patch->header.epoch, &report)
-                : core::ParsedReplica::serve_patch(parsed, body,
-                                                   patch->header.epoch,
-                                                   patch->runs, &report);
-      if (!served.ok()) return served.error();
-      if (fresh) {
-        // Refused when a re-pin raced the parse: the next patch simply
-        // full-parses again. Never a NACK.
-        (void)replicas_->attach(patch->header.template_id,
-                                apply_info.generation, parsed);
-      }
-      record_deser(report);
-      lease = std::move(served.value());
-      return &lease.call();
-    }
-    if (fused && offered) {
-      // The offer's full body serves this request and primes the replica's
-      // cached parse for the patches that follow.
-      core::ParsedReplica::ServeReport report;
-      auto parsed = std::make_shared<core::ParsedReplica>();
-      Result<core::ParsedReplica::Lease> served =
-          core::ParsedReplica::serve_full(parsed, body, 0, &report);
-      if (!served.ok()) return served.error();
-      (void)replicas_->attach(offer_id, offer_generation, parsed);
-      record_deser(report);
-      lease = std::move(served.value());
-      return &lease.call();
-    }
-    Result<soap::RpcCall> full = soap::read_rpc_envelope(body);
-    if (!full.ok()) return full.error();
-    full_call = std::move(full.value());
-    return &full_call;
-  }();
-  if (obs != nullptr) {
-    obs->on_stage(RecvStage::kParse, elapsed_ns(parse_begin), body.size());
-  }
-  if (!call.ok()) {
+  if (!call.has_value()) call = parse(body, nullptr, nullptr);
+  if (!call->ok()) {
     // The HTTP framing was intact, so the connection stays usable: answer
     // 400 + fault and keep serving.
     stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
     stats_.faults.fetch_add(1, std::memory_order_relaxed);
     return send_fault(transport, 400, "Bad Request", "SOAP-ENV:Client",
-                      call.error().to_string());
+                      call->error().to_string());
   }
+  const soap::RpcCall& rpc = *call->value();
 
-  Result<soap::Value> result = handler_(*call.value());
+  Result<soap::Value> result = handler_(rpc);
   if (!result.ok()) {
     stats_.faults.fetch_add(1, std::memory_order_relaxed);
     return send_fault(transport, 500, "Internal Server Error",
@@ -485,8 +499,8 @@ bool ServerRuntime::answer_request(Worker& worker,
   }
 
   soap::RpcCall response;
-  response.method = call.value()->method + "Response";
-  response.service_namespace = call.value()->service_namespace;
+  response.method = rpc.method + "Response";
+  response.service_namespace = rpc.service_namespace;
   response.params.push_back(soap::Param{"return", std::move(result.value())});
 
   core::SendDestination dest;

@@ -1,0 +1,28 @@
+// Copying wrapper over diffwire::ReplicaStore::apply for tests: the store
+// serves a patched body only as a view inside its callback, so tests that
+// inspect the body afterwards copy it out there.
+#pragma once
+
+#include <string>
+#include <string_view>
+
+#include "common/error.hpp"
+#include "diffwire/replica_store.hpp"
+#include "diffwire/wire_format.hpp"
+
+namespace bsoap::testing {
+
+/// Applies `frame` and copies the served body into `*body` (and the apply
+/// info into `*info` when non-null). Both are left untouched on a NACK.
+inline Status apply_copy(diffwire::ReplicaStore& store,
+                         const diffwire::PatchFrame& frame, std::string* body,
+                         diffwire::ReplicaStore::ApplyInfo* info = nullptr) {
+  return store.apply(frame,
+                     [&](std::string_view served,
+                         const diffwire::ReplicaStore::ApplyInfo& applied) {
+                       body->assign(served);
+                       if (info != nullptr) *info = applied;
+                     });
+}
+
+}  // namespace bsoap::testing

@@ -35,9 +35,12 @@
 #include "server/server_runtime.hpp"
 #include "soap/envelope_writer.hpp"
 #include "soap/workload.hpp"
+#include "replica_apply.hpp"
 
 namespace bsoap::server {
 namespace {
+
+using bsoap::testing::apply_copy;
 
 using namespace std::chrono_literals;
 using core::BsoapClient;
@@ -545,7 +548,7 @@ TEST(DiffDeserServer, ReplicaBudgetChargesTheCachedParse) {
   bad.header.epoch = 7;  // epoch gap
   bad.header.body_len = static_cast<std::uint32_t>(probe_body.size());
   std::string scratch;
-  EXPECT_FALSE(store.apply(bad, &scratch).ok());
+  EXPECT_FALSE(apply_copy(store, bad, &scratch).ok());
   stats = store.stats();
   EXPECT_EQ(stats.pinned_replicas, kReplicas - 1);
   EXPECT_EQ(stats.pinned_bytes, (kReplicas - 1) * footprint - parse_bytes);

@@ -14,13 +14,16 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/poly_hash.hpp"
 #include "common/rng.hpp"
+#include "compress/deflate.hpp"
 #include "core/client.hpp"
 #include "core/parsed_replica.hpp"
 #include "core/send_pipeline.hpp"
@@ -34,10 +37,13 @@
 #include "server/server_runtime.hpp"
 #include "soap/envelope_reader.hpp"
 #include "soap/workload.hpp"
+#include "replica_apply.hpp"
 #include "typed_array_docs.hpp"
 
 namespace bsoap::diffwire {
 namespace {
+
+using bsoap::testing::apply_copy;
 
 using namespace std::chrono_literals;
 using core::BsoapClient;
@@ -216,7 +222,7 @@ TEST(ReplicaStore, AppliesRunsAndAdvancesEpoch) {
   Result<PatchFrame> frame = decode_patch(frame_wire);
   ASSERT_TRUE(frame.ok());
   std::string reconstructed;
-  ASSERT_TRUE(store.apply(frame.value(), &reconstructed).ok());
+  ASSERT_TRUE(apply_copy(store, frame.value(), &reconstructed).ok());
   EXPECT_EQ(reconstructed, v1);
 
   // Epoch chains: the next frame must carry 2.
@@ -224,7 +230,7 @@ TEST(ReplicaStore, AppliesRunsAndAdvancesEpoch) {
   const std::string next_wire = make_patch(42, 2, v2, 0, 6);
   Result<PatchFrame> next = decode_patch(next_wire);
   ASSERT_TRUE(next.ok());
-  ASSERT_TRUE(store.apply(next.value(), &reconstructed).ok());
+  ASSERT_TRUE(apply_copy(store, next.value(), &reconstructed).ok());
   EXPECT_EQ(reconstructed, v2);
 
   const ReplicaStore::Stats stats = store.stats();
@@ -242,7 +248,7 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
     const std::string frame_wire = make_patch(1, 1, "xx", 0, 1);
     Result<PatchFrame> frame = decode_patch(frame_wire);
     std::string out;
-    const Status applied = store.apply(frame.value(), &out);
+    const Status applied = apply_copy(store, frame.value(), &out);
     EXPECT_FALSE(applied.ok());
     EXPECT_EQ(applied.error().code, ErrorCode::kNotFound);
   }
@@ -254,10 +260,10 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
     const std::string gap_wire = make_patch(1, 2, "hellp", 4, 1);
     Result<PatchFrame> gap = decode_patch(gap_wire);
     std::string out;
-    EXPECT_FALSE(store.apply(gap.value(), &out).ok());
+    EXPECT_FALSE(apply_copy(store, gap.value(), &out).ok());
     const std::string ok_frame_wire = make_patch(1, 1, "hellp", 4, 1);
     Result<PatchFrame> ok_frame = decode_patch(ok_frame_wire);
-    const Status after = store.apply(ok_frame.value(), &out);
+    const Status after = apply_copy(store, ok_frame.value(), &out);
     EXPECT_FALSE(after.ok());
     EXPECT_EQ(after.error().code, ErrorCode::kNotFound);
     EXPECT_EQ(store.stats().nacks, 2u);
@@ -270,7 +276,7 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
     const std::string frame_wire = make_patch(1, 1, "hello!", 0, 1);
     Result<PatchFrame> frame = decode_patch(frame_wire);
     std::string out;
-    EXPECT_FALSE(store.apply(frame.value(), &out).ok());
+    EXPECT_FALSE(apply_copy(store, frame.value(), &out).ok());
   }
   // Run out of bounds.
   {
@@ -289,7 +295,7 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
     Result<PatchFrame> decoded = decode_patch(frame);
     ASSERT_TRUE(decoded.ok());
     std::string out;
-    EXPECT_FALSE(store.apply(decoded.value(), &out).ok());
+    EXPECT_FALSE(apply_copy(store, decoded.value(), &out).ok());
   }
   // Checksum mismatch.
   {
@@ -300,7 +306,7 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
     Result<PatchFrame> decoded = decode_patch(frame);
     ASSERT_TRUE(decoded.ok());
     std::string out;
-    EXPECT_FALSE(store.apply(decoded.value(), &out).ok());
+    EXPECT_FALSE(apply_copy(store, decoded.value(), &out).ok());
     EXPECT_EQ(store.stats().pinned_replicas, 0u);
   }
 }
@@ -317,8 +323,229 @@ TEST(ReplicaStore, LruEvictionUnderCountBudget) {
   std::string out;
   const std::string frame_wire = make_patch(1, 1, "onx", 2, 1);
   Result<PatchFrame> frame = decode_patch(frame_wire);
-  EXPECT_EQ(store.apply(frame.value(), &out).error().code,
+  EXPECT_EQ(apply_copy(store, frame.value(), &out).error().code,
             ErrorCode::kNotFound);
+}
+
+// --- per-replica locking -----------------------------------------------------
+
+TEST(ReplicaStore, ServeOfOneReplicaBlocksNoOtherReplica) {
+  ReplicaStore::Options options;
+  options.retain_dictionaries = true;
+  ReplicaStore store(options);
+  store.pin(1, "hello world");
+  store.pin(2, "other body");
+  const std::string a_wire = make_patch(1, 1, "hello earth", 6, 5);
+  Result<PatchFrame> a = decode_patch(a_wire);
+  ASSERT_TRUE(a.ok());
+
+  // Replica 1's serve blocks until released.
+  std::atomic<bool> serving{false};
+  std::atomic<bool> release{false};
+  std::thread serve_a([&] {
+    const Status applied = store.apply(
+        a.value(), [&](std::string_view body, const ReplicaStore::ApplyInfo&) {
+          serving = true;
+          while (!release) std::this_thread::sleep_for(1ms);
+          EXPECT_EQ(body, "hello earth");
+        });
+    EXPECT_TRUE(applied.ok());
+  });
+  ASSERT_TRUE(wait_for([&] { return serving.load(); }));
+
+  // Meanwhile every operation on replica 2 (and a new pin) completes.
+  std::atomic<bool> other_done{false};
+  std::thread other([&] {
+    const std::string b_wire = make_patch(2, 1, "other bodY", 9, 1);
+    Result<PatchFrame> b = decode_patch(b_wire);
+    std::string served;
+    EXPECT_TRUE(apply_copy(store, b.value(), &served).ok());
+    EXPECT_EQ(served, "other bodY");
+    EXPECT_FALSE(store.pin(3, "third"));
+    const std::string text = "other body, other body";
+    Result<std::string> decoded = store.decode_preset(
+        2, compress::zlib_compress(text, "other body"), 1024);
+    EXPECT_TRUE(decoded.ok());
+    EXPECT_EQ(store.stats().pinned_replicas, 3u);
+    other_done = true;
+  });
+  const bool unblocked = wait_for([&] { return other_done.load(); }, 2000ms);
+  release = true;
+  serve_a.join();
+  other.join();
+  EXPECT_TRUE(unblocked) << "a serve on replica 1 stalled replica 2";
+}
+
+TEST(ReplicaStore, ServedViewOutlivesEvictionRepinAndClear) {
+  enum class Drop { kEvict, kRepin, kInvalidate, kClear };
+  for (const Drop drop :
+       {Drop::kEvict, Drop::kRepin, Drop::kInvalidate, Drop::kClear}) {
+    SCOPED_TRACE(static_cast<int>(drop));
+    ReplicaStore::Options options;
+    options.max_replicas = 1;
+    ReplicaStore store(options);
+    const std::string v0(4096, 'a');
+    store.pin(1, v0);
+    std::string v1 = v0;
+    v1.replace(100, 4, "bbbb");
+    const std::string wire = make_patch(1, 1, v1, 100, 4);
+    Result<PatchFrame> frame = decode_patch(wire);
+    ASSERT_TRUE(frame.ok());
+
+    std::atomic<bool> serving{false};
+    std::atomic<bool> dropped{false};
+    std::string seen;
+    std::thread serve([&] {
+      const Status applied = store.apply(
+          frame.value(),
+          [&](std::string_view body, const ReplicaStore::ApplyInfo&) {
+            serving = true;
+            while (!dropped) std::this_thread::sleep_for(1ms);
+            seen.assign(body);  // reads the whole view after the drop
+          });
+      EXPECT_TRUE(applied.ok());
+    });
+    ASSERT_TRUE(wait_for([&] { return serving.load(); }));
+    switch (drop) {
+      case Drop::kEvict:
+        store.pin(2, "evicts replica 1");
+        break;
+      case Drop::kRepin:
+        EXPECT_TRUE(store.pin(1, v0));
+        break;
+      case Drop::kInvalidate:
+        EXPECT_TRUE(store.invalidate(1));
+        break;
+      case Drop::kClear:
+        store.clear();
+        break;
+    }
+    dropped = true;
+    serve.join();
+    EXPECT_EQ(seen, v1);
+
+    // The store no longer holds the served replica: the next patch NACKs.
+    std::string v2 = v1;
+    v2[0] = 'c';
+    const std::string next_wire = make_patch(1, 2, v2, 0, 1);
+    Result<PatchFrame> next = decode_patch(next_wire);
+    std::string out;
+    EXPECT_FALSE(apply_copy(store, next.value(), &out).ok());
+    EXPECT_EQ(store.stats().nacks, 1u);
+  }
+}
+
+/// Fixed-size attachment for budget accounting tests.
+class SizedAttachment final : public ReplicaAttachment {
+ public:
+  explicit SizedAttachment(std::size_t n) : n_(n) {}
+  std::size_t bytes() const override { return n_; }
+
+ private:
+  std::size_t n_;
+};
+
+TEST(ReplicaStore, NacksRacePinsWithoutDeadlockOrLeakedBytes) {
+  // 8 threads × 2,000 seeded operations over 6 IDs in a store that holds 4:
+  // pins, patches that apply or NACK (epoch gap, length or checksum),
+  // splices, undecodable preset bodies, attaches and invalidations all race
+  // one another. TSan checks the locking; the byte count must come back to
+  // zero once every replica is dropped.
+  ReplicaStore::Options options;
+  options.max_replicas = 4;
+  options.max_bytes = 2048;
+  options.retain_dictionaries = true;
+  ReplicaStore store(options);
+  constexpr int kThreads = 8;
+  constexpr int kOps = 2000;
+  constexpr std::uint64_t kIds = 6;
+  const auto pinned_body = [](std::uint64_t id) {
+    return std::string(64 + 8 * id, static_cast<char>('a' + id));
+  };
+  std::atomic<std::uint64_t> served{0};
+  std::atomic<std::uint64_t> spliced{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      bsoap::Rng rng(static_cast<std::uint64_t>(t) * 7919 + 17);
+      std::uint64_t generations[kIds] = {};
+      for (int op = 0; op < kOps; ++op) {
+        const std::uint64_t id = rng.next_below(kIds);
+        const std::string body = pinned_body(id);
+        const auto epoch = static_cast<std::uint32_t>(1 + rng.next_below(3));
+        switch (rng.next_below(6)) {
+          case 0:
+            store.pin(id, body, &generations[id]);
+            break;
+          case 1: {  // rewrites a byte with itself: applies iff the epoch fits
+            const std::string wire = make_patch(id, epoch, body, 3, 1);
+            Result<PatchFrame> frame = decode_patch(wire);
+            ReplicaStore::ApplyInfo seen;
+            const Status applied = store.apply(
+                frame.value(),
+                [&](std::string_view view, const ReplicaStore::ApplyInfo& i) {
+                  EXPECT_EQ(view, body);
+                  seen = i;
+                  served.fetch_add(1, std::memory_order_relaxed);
+                });
+            if (applied.ok() && rng.next_below(2) == 0) {
+              (void)store.attach(id, seen.generation,
+                                 std::make_shared<SizedAttachment>(32));
+            }
+            break;
+          }
+          case 2: {  // grows the body by a byte: later patches NACK on length
+            std::string grown = body;
+            grown.back() = 'z';
+            grown.push_back('z');
+            PatchHeader header;
+            header.template_id = id;
+            header.epoch = epoch;
+            header.run_count = 1;
+            header.body_len = static_cast<std::uint32_t>(grown.size());
+            header.checksum = poly::hash(grown);
+            std::string wire;
+            append_patch_header(wire, header);
+            append_splice_header(wire,
+                                 static_cast<std::uint32_t>(body.size() - 1),
+                                 2, 1);
+            wire += "zz";
+            Result<PatchFrame> frame = decode_patch(wire);
+            ASSERT_TRUE(frame.ok());
+            std::string out;
+            if (apply_copy(store, frame.value(), &out).ok()) {
+              EXPECT_EQ(out, grown);
+              spliced.fetch_add(1, std::memory_order_relaxed);
+            }
+            break;
+          }
+          case 3:
+            EXPECT_FALSE(store.decode_preset(id, "not zlib", 1024).ok());
+            break;
+          case 4:
+            (void)store.attach(id, generations[id],
+                               std::make_shared<SizedAttachment>(16));
+            break;
+          default:
+            if (rng.next_below(4) == 0) {
+              (void)store.invalidate(id);
+            } else {
+              const ReplicaStore::Stats stats = store.stats();
+              EXPECT_LE(stats.pinned_replicas, options.max_replicas);
+            }
+            break;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const ReplicaStore::Stats stats = store.stats();
+  EXPECT_GT(stats.nacks, 0u);
+  EXPECT_GT(served.load(), 0u);
+  EXPECT_EQ(stats.applies, served.load() + spliced.load());
+  for (std::uint64_t id = 0; id < kIds; ++id) (void)store.invalidate(id);
+  EXPECT_EQ(store.stats().pinned_replicas, 0u);
+  EXPECT_EQ(store.stats().pinned_bytes, 0u);
 }
 
 // --- pipeline patch sends reconstruct byte-for-byte ------------------------
@@ -380,7 +607,7 @@ TEST(DiffWirePipeline, PatchSendsReconstructByteIdentical) {
   EXPECT_EQ(frame.value().header.epoch, 1u);
 
   std::string reconstructed;
-  ASSERT_TRUE(store.apply(frame.value(), &reconstructed).ok());
+  ASSERT_TRUE(apply_copy(store, frame.value(), &reconstructed).ok());
   auto [ref_wire2, ref_report2] = capture_send(reference, call2);
   const std::string expected = parse_bytewise(ref_wire2).body;
   EXPECT_EQ(reconstructed, expected);  // byte-for-byte
@@ -398,7 +625,7 @@ TEST(DiffWirePipeline, PatchSendsReconstructByteIdentical) {
   ASSERT_TRUE(replay.ok());
   EXPECT_TRUE(replay.value().header.replay());
   EXPECT_EQ(replay.value().header.epoch, 2u);
-  ASSERT_TRUE(store.apply(replay.value(), &reconstructed).ok());
+  ASSERT_TRUE(apply_copy(store, replay.value(), &reconstructed).ok());
   EXPECT_EQ(reconstructed, expected);
 
   const ClientDiffStats& stats = session.stats();
@@ -407,6 +634,82 @@ TEST(DiffWirePipeline, PatchSendsReconstructByteIdentical) {
   EXPECT_EQ(stats.patch_sends, 2u);
   EXPECT_EQ(stats.patch_replays, 1u);
   EXPECT_GT(stats.bytes_saved, 0u);
+}
+
+/// Records each write call: how many slices it gathered and their bytes.
+class WriteRecorder final : public net::Transport {
+ public:
+  using net::Transport::send;
+  Status send(const char* data, std::size_t n) override {
+    writes.push_back({1, std::string(data, n)});
+    return Status{};
+  }
+  Status send_slices(std::span<const net::ConstSlice> slices) override {
+    Write write{slices.size(), {}};
+    for (const net::ConstSlice& slice : slices) {
+      write.bytes.append(slice.data, slice.len);
+    }
+    writes.push_back(std::move(write));
+    return Status{};
+  }
+  Result<std::size_t> recv(char*, std::size_t) override {
+    return Error{ErrorCode::kUnsupported, "write-only"};
+  }
+  void shutdown_send() override {}
+
+  struct Write {
+    std::size_t slices = 0;
+    std::string bytes;
+  };
+  std::vector<Write> writes;
+};
+
+TEST(DiffWirePipeline, PatchFrameLeavesInOneWriteUnderEitherFraming) {
+  // 100 separated dirty values make a 100-run frame. Under Content-Length
+  // framing it goes out as one write of two slices, head and frame; under
+  // chunked framing the same frame travels as one chunk.
+  std::string frames[2];
+  for (const http::Framing framing :
+       {http::Framing::kContentLength, http::Framing::kChunked}) {
+    core::SendPipeline::Options options;
+    options.tmpl = stuffed_config();
+    options.framing = framing;
+    core::SendPipeline pipeline(options);
+    core::UpdateJournal journal;
+    pipeline.set_journal(&journal);
+    ClientSession session(/*token=*/5);
+    pipeline.set_diffwire(&session);
+
+    std::vector<double> values =
+        soap::doubles_with_serialized_length(1000, 17, 4);
+    const RpcCall call1 = soap::make_double_array_call(values);
+    capture_send(pipeline, call1);
+    session.note_ack(session.wire_id(call1.structure_signature()));
+
+    bsoap::Rng rng(12);
+    for (std::size_t i = 0; i < values.size(); i += 10) {
+      values[i] = soap::double_with_serialized_length(rng, 17);
+    }
+    WriteRecorder recorder;
+    core::SendDestination dest;
+    dest.transport = &recorder;
+    Result<core::SendReport> report =
+        pipeline.send(soap::make_double_array_call(values), dest);
+    ASSERT_TRUE(report.ok()) << report.error().to_string();
+    EXPECT_TRUE(report.value().patch_send);
+    EXPECT_EQ(report.value().patch_runs, 100u);
+    ASSERT_EQ(recorder.writes.size(), 1u);
+    const http::HttpRequest request =
+        parse_bytewise(recorder.writes[0].bytes);
+    if (framing == http::Framing::kContentLength) {
+      EXPECT_EQ(recorder.writes[0].slices, 2u);
+    }
+    Result<PatchFrame> frame = decode_patch(request.body);
+    ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+    EXPECT_EQ(frame.value().runs.size(), 100u);
+    frames[framing == http::Framing::kChunked] = request.body;
+  }
+  EXPECT_EQ(frames[0], frames[1]);
 }
 
 /// The template's current body.
@@ -451,7 +754,7 @@ TEST(DiffWirePipeline, PartialStructuralUpdateTravelsAsSplicePatch) {
   EXPECT_GT(frame.value().runs[0].length, frame.value().runs[0].old_length());
 
   std::string reconstructed;
-  const Status applied = store.apply(frame.value(), &reconstructed);
+  const Status applied = apply_copy(store, frame.value(), &reconstructed);
   ASSERT_TRUE(applied.ok()) << applied.error().to_string();
   EXPECT_EQ(reconstructed, template_body(pipeline, call2));
   Result<RpcCall> parsed = soap::read_rpc_envelope(reconstructed);
@@ -948,7 +1251,8 @@ TEST(DiffWireSpliceModel, SeededUpdateSequencesKeepReplicaParseAndRootsExact) {
           splice_frames += run.splice;
         }
         ReplicaStore::ApplyInfo info;
-        const Status applied = store.apply(frame.value(), &replica, &info);
+        const Status applied =
+            apply_copy(store, frame.value(), &replica, &info);
         ASSERT_TRUE(applied.ok())
             << "seed " << seed << " step " << step << ": "
             << applied.error().to_string();

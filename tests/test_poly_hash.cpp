@@ -23,9 +23,12 @@
 #include "diffwire/wire_format.hpp"
 #include "soap/workload.hpp"
 #include "textconv/dtoa.hpp"
+#include "replica_apply.hpp"
 
 namespace bsoap {
 namespace {
+
+using bsoap::testing::apply_copy;
 
 using buffer::BufPos;
 using buffer::ChunkConfig;
@@ -127,8 +130,12 @@ TEST(PolyHash, MoveByMovesTheWholeExactly) {
     const std::size_t n = rng.next_below(std::min<std::size_t>(
                               bytes.size() - offset, 5000) + 1);
     const std::string repl = random_bytes(rng, n);
-    h = poly::add(h, poly::move_by(offset, poly::hash(bytes.data() + offset, n),
-                                   poly::hash(repl)));
+    const std::uint64_t change =
+        poly::hash_change(bytes.data() + offset, repl.data(), n);
+    ASSERT_EQ(change,
+              poly::sub(poly::hash(repl), poly::hash(bytes.data() + offset, n)))
+        << i;
+    h = poly::add(h, poly::move_by(offset, change));
     bytes.replace(offset, n, repl);
     ASSERT_EQ(h, poly::hash(bytes)) << i;
   }
@@ -644,14 +651,14 @@ TEST(ReplicaRoot, SortedOverwriteAndSpliceRunsStayExact) {
                                                : std::string{}});
     const diffwire::PatchFrame frame = make_splice_frame(epoch, body, runs);
     std::string reconstructed;
-    const Status applied = store.apply(frame, &reconstructed);
+    const Status applied = apply_copy(store, frame, &reconstructed);
     ASSERT_TRUE(applied.ok()) << applied.error().to_string();
     ASSERT_EQ(reconstructed, body);
   }
   // A replay (no runs) checks the maintained root alone.
   const diffwire::PatchFrame replay = make_frame(31, body, {});
   std::string reconstructed;
-  ASSERT_TRUE(store.apply(replay, &reconstructed).ok());
+  ASSERT_TRUE(apply_copy(store, replay, &reconstructed).ok());
 
   const diffwire::ReplicaStore::Stats stats = store.stats();
   EXPECT_EQ(stats.applies, 31u);
@@ -662,7 +669,7 @@ TEST(ReplicaRoot, SortedOverwriteAndSpliceRunsStayExact) {
       {5, "xyz"}};
   diffwire::PatchFrame bad = make_frame(32, body, bad_runs);
   bad.header.checksum = poly::add(bad.header.checksum, 1);
-  const Status nacked = store.apply(bad, &reconstructed);
+  const Status nacked = apply_copy(store, bad, &reconstructed);
   ASSERT_FALSE(nacked.ok());
   EXPECT_EQ(nacked.error().message, "checksum mismatch");
   EXPECT_EQ(store.stats().pinned_replicas, 0u);
@@ -700,7 +707,7 @@ TEST(PieceModel, ReplicaFollowsRandomOverwriteAndSpliceFrames) {
       }
       const std::uint64_t hashed_before = store.stats().hashed_bytes;
       const diffwire::PatchFrame frame = make_splice_frame(epoch, body, runs);
-      const Status applied = store.apply(frame, &reconstructed);
+      const Status applied = apply_copy(store, frame, &reconstructed);
       ASSERT_TRUE(applied.ok())
           << "seed " << seed << " epoch " << epoch << ": "
           << applied.error().to_string();
@@ -743,7 +750,7 @@ TEST(ReplicaRoot, OverlappingOrRepeatedRunsNack) {
     expected.replace(second, 5, b);
     frame.header.checksum = poly::hash(expected);
     std::string reconstructed;
-    const Status applied = store.apply(frame, &reconstructed);
+    const Status applied = apply_copy(store, frame, &reconstructed);
     ASSERT_FALSE(applied.ok()) << second;
     EXPECT_EQ(store.stats().pinned_replicas, 0u);
   }
@@ -761,7 +768,7 @@ TEST(ReplicaRoot, RepinStartsFromScratchOnce) {
       const std::vector<std::pair<std::uint32_t, std::string>> runs = {
           {epoch * 10, random_bytes(rng, 9)}};
       const diffwire::PatchFrame frame = make_frame(epoch, body, runs);
-      ASSERT_TRUE(store.apply(frame, &reconstructed).ok());
+      ASSERT_TRUE(apply_copy(store, frame, &reconstructed).ok());
       ASSERT_EQ(reconstructed, body);
     }
   }
@@ -825,7 +832,7 @@ TEST(RootAgreement, ChunkedSenderRootMatchesFlatReplicaRoot) {
     ASSERT_EQ(replica, now);
     frame.header.checksum = tmpl->buffer().root();
     std::string reconstructed;
-    const Status applied = store.apply(frame, &reconstructed);
+    const Status applied = apply_copy(store, frame, &reconstructed);
     ASSERT_TRUE(applied.ok()) << applied.error().to_string();
   }
   EXPECT_GT(straddling, 0u);

@@ -31,10 +31,13 @@
 #include "wsdl/parser.hpp"
 #include "wsdl/writer.hpp"
 #include "xml/pull_parser.hpp"
+#include "replica_apply.hpp"
 #include "typed_array_docs.hpp"
 
 namespace bsoap {
 namespace {
+
+using bsoap::testing::apply_copy;
 
 std::string valid_envelope() {
   buffer::StringSink sink;
@@ -613,7 +616,7 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
 
     std::string reconstructed;
     diffwire::ReplicaStore::ApplyInfo info;
-    const Status status = store.apply(frame, &reconstructed, &info);
+    const Status status = apply_copy(store, frame, &reconstructed, &info);
     if (!status.ok()) {
       // A NACK erased the replica; the sender's re-offer re-pins.
       ASSERT_EQ(store.stats().pinned_replicas, 0u);
@@ -730,7 +733,7 @@ TEST(RobustnessFuzz, MutatedSpliceFramesNackAndNeverCrash) {
       continue;
     }
     std::string reconstructed;
-    const Status applied = store.apply(frame.value(), &reconstructed);
+    const Status applied = apply_copy(store, frame.value(), &reconstructed);
     if (mutation == 0) {
       ASSERT_TRUE(applied.ok())
           << "round " << round << ": " << applied.error().to_string();

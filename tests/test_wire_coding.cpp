@@ -32,9 +32,12 @@
 #include "server/server_runtime.hpp"
 #include "soap/envelope_writer.hpp"
 #include "soap/workload.hpp"
+#include "replica_apply.hpp"
 
 namespace bsoap {
 namespace {
+
+using bsoap::testing::apply_copy;
 
 using namespace std::chrono_literals;
 using core::BsoapClient;
@@ -307,7 +310,7 @@ TEST(WireCodingPipeline, PresetPatchFramesGoUncoded) {
   ASSERT_TRUE(frame.ok()) << frame.error().to_string();
   EXPECT_EQ(frame.value().header.template_id, wire_id);
   std::string reconstructed;
-  ASSERT_TRUE(store.apply(frame.value(), &reconstructed).ok());
+  ASSERT_TRUE(apply_copy(store, frame.value(), &reconstructed).ok());
   auto [ref_wire2, ref_report2] = capture_send(reference, call2);
   EXPECT_EQ(reconstructed, parse_bytewise(ref_wire2).body);  // byte-for-byte
 }
@@ -406,7 +409,7 @@ TEST(WireCodingPipeline, ReoffersAfterPatchesCodeAgainstTheReplicaTail) {
     Result<diffwire::PatchFrame> frame = diffwire::decode_patch(patch.body);
     ASSERT_TRUE(frame.ok());
     std::string replica;
-    const Status applied = store.apply(frame.value(), &replica);
+    const Status applied = apply_copy(store, frame.value(), &replica);
     ASSERT_TRUE(applied.ok()) << applied.error().to_string();
   }
   const std::string replica = std::string(
