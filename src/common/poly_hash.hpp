@@ -102,6 +102,11 @@ inline constexpr std::size_t kPiece = 512;
 class PieceTable {
  public:
   bool built() const { return built_; }
+  /// Heap bytes the table holds: its pieces and the overwrite bitmap.
+  std::size_t heap_bytes() const {
+    return pieces_.capacity() * sizeof(Piece) +
+           overwritten_.capacity() * sizeof(std::uint64_t);
+  }
   /// Forgets every piece: the range is stale until the next build().
   void reset() {
     pieces_.clear();

@@ -5,7 +5,6 @@
 
 #include "soap/envelope_reader.hpp"
 #include "textconv/parse.hpp"
-#include "xml/escape.hpp"
 #ifdef BSOAP_DEBUG_INVARIANTS
 #include "xml/pull_parser.hpp"
 #endif
@@ -51,20 +50,28 @@ std::size_t value_bytes(const soap::Value& value) {
 void DiffDeserializer::reset() {
   cache_valid_ = false;
   fast_path_usable_ = false;
-  cached_doc_.clear();
   regions_.clear();
   slots_.clear();
+  pieces_.clear();
+  piece_ids_.clear();
+  doc_size_ = 0;
 }
 
 std::size_t DiffDeserializer::bytes() const {
-  std::size_t n = cached_doc_.capacity() +
-                  regions_.capacity() * sizeof(LeafRegion) +
+  std::size_t n = regions_.capacity() * sizeof(LeafRegion) +
                   slots_.capacity() * sizeof(LeafSlot) +
+                  pieces_.capacity() * sizeof(std::string) +
+                  piece_ids_.capacity() * sizeof(std::uint32_t) +
                   cached_call_.method.capacity() +
                   cached_call_.service_namespace.capacity() +
                   cached_call_.params.capacity() * sizeof(soap::Param);
   for (const soap::Param& p : cached_call_.params) {
     n += p.name.capacity() + value_bytes(p.value);
+  }
+  const std::size_t inline_capacity = std::string().capacity();
+  for (const std::string& piece : pieces_) {
+    // Short pieces live inside the string object itself.
+    if (piece.capacity() > inline_capacity) n += piece.capacity() + 1;
   }
   return n;
 }
@@ -85,7 +92,7 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::demote(
 namespace {
 
 /// Matches one piece of the new document against `old`, the structure
-/// between two leaves (or after the last leaf of a window) in the cached
+/// between two leaves (or after the last leaf of a window) in the previous
 /// document: the same tags and other tokens byte for byte, while the
 /// whitespace between them may differ (the sender's padding). Starts at
 /// `*pos` and advances it past the match. The piece ends right after its
@@ -136,22 +143,20 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
     return ApplyReport{ApplyPath::kFullParse, 0, false};
   }
   if (!fast_path_usable_) return demote(document);
-  // The runs must turn the cached document into `document`: sorted and
-  // disjoint in cached-document offsets, and the lengths must add up.
+  // The runs must turn the previous document into `document`: sorted and
+  // disjoint in previous-document offsets, and the lengths must add up.
   std::size_t old_end = 0;
   std::ptrdiff_t growth = 0;
-  bool resizes = false;
   for (const diffwire::PatchRun& run : runs) {
-    if (run.offset < old_end || run.offset > cached_doc_.size() ||
-        run.old_length() > cached_doc_.size() - run.offset) {
+    if (run.offset < old_end || run.offset > doc_size_ ||
+        run.old_length() > doc_size_ - run.offset) {
       return demote(document);
     }
     old_end = std::size_t{run.offset} + run.old_length();
     growth += static_cast<std::ptrdiff_t>(run.length) -
               static_cast<std::ptrdiff_t>(run.old_length());
-    resizes = resizes || run.length != run.old_length();
   }
-  if (static_cast<std::ptrdiff_t>(cached_doc_.size()) + growth !=
+  if (static_cast<std::ptrdiff_t>(doc_size_) + growth !=
       static_cast<std::ptrdiff_t>(document.size())) {
     return demote(document);
   }
@@ -166,7 +171,7 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
   // texts, else demote. Regions before a window have moved by the growth
   // of the windows before it.
   const std::size_t n = regions_.size();
-  std::ptrdiff_t shift = 0;  // new offset − cached offset before the window
+  std::ptrdiff_t shift = 0;  // new offset − old offset before the window
   std::size_t placed = 0;    // regions_[0, placed) hold new offsets
   std::size_t reparsed = 0;
   for (std::size_t r = 0; r < runs.size();) {
@@ -185,7 +190,7 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
       --lo;
     }
     std::size_t hi = lo;
-    std::size_t b = 0;  // window end, cached offset
+    std::size_t b = 0;  // window end, old offset
     std::ptrdiff_t window_growth = 0;
     do {
       const diffwire::PatchRun& run = runs[r];
@@ -196,7 +201,7 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
                              return pos < region.begin;
                            }) -
           regions_.begin());
-      b = hi < n ? regions_[hi].begin : cached_doc_.size();
+      b = hi < n ? regions_[hi].begin : doc_size_;
       window_growth += static_cast<std::ptrdiff_t>(run.length) -
                        static_cast<std::ptrdiff_t>(run.old_length());
       ++r;
@@ -217,14 +222,10 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
       const std::size_t text_end =
           static_cast<std::size_t>(static_cast<const char*>(lt) -
                                    document.data());
-      const std::size_t old_next = k + 1 < hi ? regions_[k + 1].begin : b;
-      const std::string_view old_structure =
-          std::string_view(cached_doc_)
-              .substr(regions_[k].end, old_next - regions_[k].end);
       regions_[k] = LeafRegion{pos, text_end};
       pos = text_end;
-      if (!match_structure(old_structure, document, &pos, window_end,
-                           /*to_end=*/k + 1 == hi)) {
+      if (!match_structure(pieces_[piece_ids_[k]], document, &pos,
+                           window_end, /*to_end=*/k + 1 == hi)) {
         return demote(document);
       }
     }
@@ -246,16 +247,9 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
       regions_[k].end += shift;
     }
   }
-  if (resizes) {
-    cached_doc_.assign(document);
-  } else {
-    for (const diffwire::PatchRun& run : runs) {
-      std::memcpy(cached_doc_.data() + run.offset,
-                  document.data() + run.offset, run.length);
-    }
-  }
+  doc_size_ = document.size();
 #ifdef BSOAP_DEBUG_INVARIANTS
-  check_against_full_parse();
+  check_against_full_parse(document);
 #endif
   return ApplyReport{ApplyPath::kFastParse, reparsed, false};
 }
@@ -271,34 +265,10 @@ Status DiffDeserializer::reparse_slot(std::size_t index,
       *static_cast<std::int32_t*>(slot.target) = v.value();
       break;
     }
-    case LeafSlot::Kind::kInt64: {
-      Result<std::int64_t> v = textconv::parse_i64(lexical);
-      if (!v.ok()) return v.error();
-      *static_cast<std::int64_t*>(slot.target) = v.value();
-      break;
-    }
     case LeafSlot::Kind::kDouble: {
       Result<double> v = textconv::parse_double(lexical);
       if (!v.ok()) return v.error();
       *static_cast<double*>(slot.target) = v.value();
-      break;
-    }
-    case LeafSlot::Kind::kBool: {
-      if (lexical == "true" || lexical == "1") {
-        *static_cast<bool*>(slot.target) = true;
-      } else if (lexical == "false" || lexical == "0") {
-        *static_cast<bool*>(slot.target) = false;
-      } else {
-        return Error{ErrorCode::kParseError, "bad boolean region"};
-      }
-      break;
-    }
-    case LeafSlot::Kind::kString: {
-      std::string decoded;
-      if (!xml::unescape(fresh, &decoded)) {
-        return Error{ErrorCode::kParseError, "bad string region"};
-      }
-      *static_cast<std::string*>(slot.target) = std::move(decoded);
       break;
     }
   }
@@ -362,6 +332,57 @@ bool DiffDeserializer::collect_slots() {
   return all_supported;
 }
 
+void DiffDeserializer::collect_pieces(std::string_view document) {
+  // Pieces that match each other both ways hold the same tokens, so any of
+  // them stands for the rest in the window re-scan. An entry keeps the raw
+  // bytes most of its pieces have (a majority vote), so the re-scan's
+  // one-compare path hits on the common padding even where the first
+  // leaf's differs, e.g. when element 0 carries a request id. Distinct
+  // entries are few (one per tag pattern between leaves, e.g. three for a
+  // MIO array), so a piece is looked up among the previous leaf's and the
+  // first kSearch entries; past those it gets its own entry.
+  constexpr std::size_t kSearch = 32;
+  std::vector<std::uint32_t> votes;
+  pieces_.clear();
+  piece_ids_.resize(regions_.size());
+  for (std::size_t k = 0; k < regions_.size(); ++k) {
+    const std::size_t next =
+        k + 1 < regions_.size() ? regions_[k + 1].begin : document.size();
+    const std::string_view piece =
+        document.substr(regions_[k].end, next - regions_[k].end);
+    const auto same = [&](std::uint32_t id) {
+      const std::string_view entry = pieces_[id];
+      std::size_t at_piece = 0;
+      std::size_t at_entry = 0;
+      return piece == entry ||
+             (match_structure(entry, piece, &at_piece, piece.size(),
+                              /*to_end=*/true) &&
+              match_structure(piece, entry, &at_entry, entry.size(),
+                              /*to_end=*/true));
+    };
+    std::uint32_t id = k > 0 ? piece_ids_[k - 1] : 0;
+    if (k == 0 || !same(id)) {
+      id = 0;
+      const std::size_t search = std::min(pieces_.size(), kSearch);
+      while (id < search && !same(id)) ++id;
+      if (id == search) {
+        id = static_cast<std::uint32_t>(pieces_.size());
+        pieces_.emplace_back(piece);
+        votes.push_back(0);
+      }
+    }
+    if (piece == pieces_[id]) {
+      ++votes[id];
+    } else if (votes[id] == 0) {
+      pieces_[id].assign(piece);
+      votes[id] = 1;
+    } else {
+      --votes[id];
+    }
+    piece_ids_[k] = id;
+  }
+}
+
 Status DiffDeserializer::full_parse(std::string_view document) {
   // One pass: the reader records every typed-array leaf's text span while
   // it parses (reusing the region table's capacity).
@@ -370,19 +391,25 @@ Status DiffDeserializer::full_parse(std::string_view document) {
   Result<soap::RpcCall> call = soap::read_rpc_envelope(document, &leaves);
   regions_.swap(leaves.spans);
   if (!call.ok()) {
-    // The cache may already be torn (apply_runs copies run bytes before
-    // re-parsing leaves); never serve it after a failed re-prime.
+    // The cache may already be torn (apply_runs moves regions and rewrites
+    // leaves before it demotes); never serve it after a failed re-prime.
     cache_valid_ = false;
     fast_path_usable_ = false;
     return call.error();
   }
   cached_call_ = std::move(call.value());
-  cached_doc_.assign(document);
+  doc_size_ = document.size();
   cache_valid_ = true;
   fast_path_usable_ = leaves.exact;
   [[maybe_unused]] const bool all_supported = collect_slots();
+  if (fast_path_usable_) {
+    collect_pieces(document);
+  } else {
+    pieces_.clear();
+    piece_ids_.clear();
+  }
 #ifdef BSOAP_DEBUG_INVARIANTS
-  check_regions_against_walk(leaves.exact && all_supported);
+  check_regions_against_walk(document, leaves.exact && all_supported);
 #endif
   return Status{};
 }
@@ -424,9 +451,10 @@ bool bit_equal(const soap::Value& a, const soap::Value& b) {
 
 /// A fast parse must leave exactly what a full parse of the document
 /// would: the same call, bit for bit, and the same region map.
-void DiffDeserializer::check_against_full_parse() const {
+void DiffDeserializer::check_against_full_parse(
+    std::string_view document) const {
   soap::LeafSpans leaves;
-  Result<soap::RpcCall> full = soap::read_rpc_envelope(cached_doc_, &leaves);
+  Result<soap::RpcCall> full = soap::read_rpc_envelope(document, &leaves);
   BSOAP_ASSERT(full.ok());
   const soap::RpcCall& call = full.value();
   BSOAP_ASSERT(call.method == cached_call_.method &&
@@ -449,10 +477,11 @@ void DiffDeserializer::check_against_full_parse() const {
 /// reader's spans are exact, every leaf is slot-addressable and the walk
 /// finds one region per slot, the two maps are identical; a usable map is
 /// in any case a subsequence of the walk's (it leaves out header leaves).
-void DiffDeserializer::check_regions_against_walk(bool exact) const {
+void DiffDeserializer::check_regions_against_walk(std::string_view document,
+                                                  bool exact) const {
   std::vector<LeafRegion> walked;
   bool walk_usable = true;
-  xml::XmlPullParser parser(cached_doc_);
+  xml::XmlPullParser parser(document);
   struct Frame {
     bool has_children = false;
     LeafRegion text{0, 0};

@@ -20,64 +20,30 @@ ParsedReplica::Lease ParsedReplica::make_lease(
   return lease;
 }
 
-Status ParsedReplica::prime_locked(std::string_view body) {
-  const Status st = deser_.prime(body);
-  if (!st.ok()) {
-    epoch_valid_ = false;
-    return st;
-  }
-  bytes_.store(deser_.bytes(), std::memory_order_relaxed);
-  return st;
+std::shared_ptr<ParsedReplica> ParsedReplica::in(
+    std::shared_ptr<diffwire::ReplicaAttachment>& slot) {
+  if (slot == nullptr) slot = std::make_shared<ParsedReplica>();
+  return std::static_pointer_cast<ParsedReplica>(slot);
 }
 
-Result<ParsedReplica::Lease> ParsedReplica::serve_full(
+Result<ParsedReplica::Lease> ParsedReplica::serve(
     std::shared_ptr<ParsedReplica> self, std::string_view body,
-    std::uint32_t epoch, ServeReport* report) {
+    std::span<const diffwire::PatchRun> runs, ServeReport* report) {
   ParsedReplica& p = *self;
   std::unique_lock<std::mutex> lock(p.mu_, std::try_to_lock);
   const bool contended = !lock.owns_lock();
   if (contended) lock.lock();
-  BSOAP_RETURN_IF_ERROR(p.prime_locked(body));
-  p.epoch_ = epoch;
-  p.epoch_valid_ = true;
-  if (report != nullptr) {
-    report->path = DiffDeserializer::ApplyPath::kFullParse;
-    report->leaves_reparsed = 0;
-    report->demoted = false;
+  Result<DiffDeserializer::ApplyReport> applied =
+      p.deser_.apply_runs(body, runs);
+  if (!applied.ok() ||
+      applied.value().path == DiffDeserializer::ApplyPath::kFullParse) {
+    p.bytes_.store(p.deser_.bytes(), std::memory_order_relaxed);
   }
-  return make_lease(std::move(self), std::move(lock), contended, report);
-}
-
-Result<ParsedReplica::Lease> ParsedReplica::serve_patch(
-    std::shared_ptr<ParsedReplica> self, std::string_view body,
-    std::uint32_t epoch, std::span<const diffwire::PatchRun> runs,
-    ServeReport* report) {
-  ParsedReplica& p = *self;
-  std::unique_lock<std::mutex> lock(p.mu_, std::try_to_lock);
-  const bool contended = !lock.owns_lock();
-  if (contended) lock.lock();
-
-  DiffDeserializer::ApplyReport applied;
-  if (!p.epoch_valid_ || p.epoch_ + 1 != epoch) {
-    // The parse state lags the replica (attach raced a re-pin, or a prior
-    // serve failed): resynchronize with a full parse. Not a demotion — the
-    // cache never covered this epoch chain.
-    BSOAP_RETURN_IF_ERROR(p.prime_locked(body));
-    applied.path = DiffDeserializer::ApplyPath::kFullParse;
-  } else {
-    Result<DiffDeserializer::ApplyReport> r = p.deser_.apply_runs(body, runs);
-    if (!r.ok()) {
-      p.epoch_valid_ = false;
-      return r.error();
-    }
-    applied = r.value();
-  }
-  p.epoch_ = epoch;
-  p.epoch_valid_ = true;
+  if (!applied.ok()) return applied.error();
   if (report != nullptr) {
-    report->path = applied.path;
-    report->leaves_reparsed = applied.leaves_reparsed;
-    report->demoted = applied.demoted;
+    report->path = applied.value().path;
+    report->leaves_reparsed = applied.value().leaves_reparsed;
+    report->demoted = applied.value().demoted;
   }
   return make_lease(std::move(self), std::move(lock), contended, report);
 }

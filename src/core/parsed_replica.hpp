@@ -1,17 +1,23 @@
 // The server's cached parse of a diff-wire replica body.
 //
-// A ParsedReplica hangs off a pinned replica as its ReplicaAttachment and
-// fuses the diff-wire state machine with DiffDeserializer: the offer's full
-// body is parsed once, and every subsequent patch re-parses only the leaves
-// its runs touch, overwrites and splices alike (header-only replays return
-// the cached call with zero parse work). The patch checksum has already
-// proven that the body is the pinned one with the runs applied, so the fast
-// path never scans the skeleton.
+// A ParsedReplica lives in a pinned replica's slot and fuses the diff-wire
+// state machine with DiffDeserializer: the offer's full body is parsed
+// once, and every subsequent patch re-parses only the leaves its runs
+// touch, overwrites and splices alike (header-only replays return the
+// cached call with zero parse work). The patch checksum has already proven
+// that the body is the pinned one with the runs applied, so the fast path
+// never scans the skeleton. The body itself stays in the replica: the
+// cached parse keeps no copy of it.
 //
-// Concurrency — clone-or-lock. Requests for one replica normally arrive
-// serialized (the epoch chain NACKs concurrent patches at the store), but
-// distinct connections sharing a wire ID can race a serve against a lease
-// still held across a handler. One mutex guards the deserializer:
+// Order. The replica store hands the slot to a serve only under the
+// replica's lock (or, for an offer, before the replica is published), and
+// every patch the replica takes is served, so the cached parse always
+// describes the body the previous serve saw. No epoch of its own is needed.
+//
+// Concurrency — clone-or-lock. A lease can outlive the replica lock: it is
+// held across the handler and the response write, while the next patch of
+// the same replica (another connection sharing the wire ID) may already be
+// served. One mutex guards the deserializer:
 //
 //   uncontended  try_lock succeeds; the parse state is updated and the
 //                Lease keeps the lock across the handler, serving the
@@ -78,22 +84,20 @@ class ParsedReplica final : public diffwire::ReplicaAttachment {
     std::unique_ptr<soap::RpcCall> owned_;
   };
 
-  /// Serves a request whose full body is in hand (offer pin, or a patch
-  /// that found no usable attachment): full parse, re-priming the cache.
-  /// `epoch` is the replica's epoch after this request (0 for an offer).
-  static Result<Lease> serve_full(std::shared_ptr<ParsedReplica> self,
-                                  std::string_view body, std::uint32_t epoch,
-                                  ServeReport* report);
+  /// The ParsedReplica in a replica's slot, made there when the slot is
+  /// empty. The slot must hold a ParsedReplica or nothing.
+  static std::shared_ptr<ParsedReplica> in(
+      std::shared_ptr<diffwire::ReplicaAttachment>& slot);
 
-  /// Serves a patch request: `body` is the reconstructed replica at
-  /// `epoch`, `runs` the frame's runs (empty for a replay). When the
-  /// cached parse is exactly one epoch behind, only touched leaves are
-  /// re-parsed; otherwise (attach raced a re-pin, a prior serve failed, a
-  /// run hit structural bytes, ...) the request demotes to a full parse.
-  static Result<Lease> serve_patch(std::shared_ptr<ParsedReplica> self,
-                                   std::string_view body, std::uint32_t epoch,
-                                   std::span<const diffwire::PatchRun> runs,
-                                   ServeReport* report);
+  /// Serves a request: `body` is the replica's body, the previously served
+  /// body with `runs` applied (an offer passes no runs). A primed cache
+  /// re-parses only touched leaves, or demotes to a full parse when a run
+  /// hit structural bytes; an unprimed one (an offer, or after a failed
+  /// serve) full-parses `body`.
+  static Result<Lease> serve(std::shared_ptr<ParsedReplica> self,
+                             std::string_view body,
+                             std::span<const diffwire::PatchRun> runs,
+                             ServeReport* report);
 
   /// The cached parse's heap bytes as of the last full parse (the cache's
   /// size only changes when it is re-primed). Lock-free: the replica store
@@ -106,13 +110,9 @@ class ParsedReplica final : public diffwire::ReplicaAttachment {
   static Lease make_lease(std::shared_ptr<ParsedReplica> self,
                           std::unique_lock<std::mutex> lock, bool contended,
                           ServeReport* report);
-  /// Full parse under the held mutex; refreshes bytes_.
-  Status prime_locked(std::string_view body);
 
   std::mutex mu_;
   DiffDeserializer deser_;
-  std::uint32_t epoch_ = 0;
-  bool epoch_valid_ = false;  ///< epoch_ matches the parse state
   std::atomic<std::size_t> bytes_{0};
 };
 

@@ -18,58 +18,35 @@ std::string_view dict_tail(std::string_view body) {
 }
 }  // namespace
 
-bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
-                       std::uint64_t* generation) {
-  // Built outside the lock; published (or swapped in for a re-pin, which
-  // drops the previous attachment with the previous replica) under it.
-  auto replica = std::make_shared<Replica>(
-      id, body,
-      options_.retain_dictionaries ? dict_tail(body) : std::string_view{});
-  replica->body_bytes = replica->body.size() + replica->dict.size();
+std::shared_ptr<ReplicaStore::Replica> ReplicaStore::make_replica(
+    std::uint64_t id, std::string body) {
+  const std::size_t dict_len =
+      options_.retain_dictionaries ? dict_tail(body).size() : 0;
+  return std::make_shared<Replica>(id, std::move(body), dict_len);
+}
+
+bool ReplicaStore::publish(std::shared_ptr<Replica> replica) {
+  // Swapped in for a re-pin, which drops the previous slot with the
+  // previous replica.
+  replica->charged = replica->footprint();
   std::shared_ptr<Replica> replaced;  // released after the lock
   std::lock_guard<std::mutex> lock(mu_);
-  replica->generation = ++generation_counter_;
-  if (generation != nullptr) *generation = replica->generation;
-  bytes_ += replica->bytes();
-  const auto it = index_.find(id);
+  bytes_ += replica->charged;
+  const auto it = index_.find(replica->id);
   const bool repin = it != index_.end();
   if (repin) {
     replaced = std::move(*it->second);
-    bytes_ -= replaced->bytes();
+    bytes_ -= replaced->charged;
     lru_.erase(it->second);
     ++counters_.repins;
   } else {
     ++counters_.pins;
   }
+  const std::uint64_t id = replica->id;
   lru_.push_front(std::move(replica));
   index_[id] = lru_.begin();
   enforce_budget_locked();
   return repin;
-}
-
-bool ReplicaStore::attach(std::uint64_t id, std::uint64_t generation,
-                          std::shared_ptr<ReplicaAttachment> attachment) {
-  const std::size_t bytes = attachment != nullptr ? attachment->bytes() : 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(id);
-  if (it == index_.end() || (*it->second)->generation != generation) {
-    return false;
-  }
-  Replica& replica = **it->second;
-  bytes_ -= replica.attachment_bytes;
-  replica.attachment_bytes = bytes;
-  replica.attachment.swap(attachment);
-  bytes_ += replica.attachment_bytes;
-  enforce_budget_locked();
-  return true;
-}
-
-std::shared_ptr<ReplicaAttachment> ReplicaStore::attachment(
-    std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(id);
-  if (it == index_.end()) return nullptr;
-  return (*it->second)->attachment;
 }
 
 std::shared_ptr<ReplicaStore::Replica> ReplicaStore::find(std::uint64_t id) {
@@ -118,8 +95,6 @@ Status ReplicaStore::patch(const PatchFrame& frame, Applied* out) {
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     out->replica = *it->second;
-    out->info.attachment = out->replica->attachment;
-    out->info.generation = out->replica->generation;
   }
   Replica& replica = *out->replica;
   out->lock = std::unique_lock<std::mutex>(replica.mu);
@@ -203,18 +178,19 @@ Status ReplicaStore::patch(const PatchFrame& frame, Applied* out) {
   replica.epoch = h.epoch;
   ++counters_.applies;
   if (h.replay() || frame.runs.empty()) ++counters_.replays;
-  if (resizes) {
-    // The body changed size: re-charge it while the store still holds it.
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(replica.id);
-    if (it != index_.end() && it->second->get() == &replica) {
-      bytes_ -= replica.body_bytes;
-      replica.body_bytes = replica.body.size() + replica.dict.size();
-      bytes_ += replica.body_bytes;
-      enforce_budget_locked();
-    }
-  }
   return Status{};
+}
+
+void ReplicaStore::recharge(Replica& replica) {
+  const std::size_t now = replica.footprint();
+  if (now == replica.charged) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(replica.id);
+  if (it != index_.end() && it->second->get() == &replica) {
+    bytes_ = bytes_ - replica.charged + now;
+    replica.charged = now;
+    enforce_budget_locked();
+  }
 }
 
 bool ReplicaStore::invalidate(std::uint64_t id) {
@@ -259,7 +235,7 @@ void ReplicaStore::nack(const Replica& replica) {
 }
 
 void ReplicaStore::remove_locked(LruIter it) {
-  bytes_ -= (*it)->bytes();
+  bytes_ -= (*it)->charged;
   index_.erase((*it)->id);
   lru_.erase(it);
 }

@@ -12,18 +12,26 @@
 // in and refolds the root, O(pieces) beyond those bytes. Only the first
 // patch after a pin hashes the whole body.
 //
+// Each replica also carries one slot for per-replica state a higher layer
+// derives from its body — the server's cached parse — and the body lives
+// only in the replica: pin() moves the offered body in, and every serve
+// callback reads it in place.
+//
 // Locking. Each replica has its own mutex and lives behind a shared_ptr;
-// the store mutex guards only the index, the LRU, the byte budget and the
-// attachments. apply() finds the replica under the store mutex, takes a
-// reference, drops the store mutex and locks the replica: validation, the
-// patch and the caller's serve callback — which reads the body in place —
+// the store mutex guards only the index, the LRU and the byte budget.
+// apply() finds the replica under the store mutex, takes a reference, drops
+// the store mutex and locks the replica: validation, the patch and the
+// caller's serve callback — which reads the body and updates the slot —
 // run under that replica's lock alone, so a long parse of one replica never
-// stalls another. A re-pin publishes a new replica, and an eviction, NACK
-// or clear only drops the store's reference, so a body being served stays
-// valid until its serve returns. The store mutex is a leaf: code holding it
-// never waits on a replica's mutex (or anything a serve callback locks). A
-// NACK, and the budget update after a splice, take it briefly while they
-// hold the replica's lock.
+// stalls another, and the slot always describes the body it is served
+// with. pin() serves the new replica before publishing it, when no other
+// thread can see it. A re-pin publishes a new replica (with an empty
+// slot), and an eviction, NACK or clear only drops the store's reference,
+// so a body being served stays valid until its serve returns. The store
+// mutex is a leaf: code holding it never waits on a replica's mutex (or
+// anything a serve callback locks). A NACK, and the budget update after a
+// serve that changed the replica's size, take it briefly while they hold
+// the replica's lock.
 //
 // Every validation failure is a NACK, and a NACK erases the replica: the
 // sender's next send is a full body with a fresh offer, which re-pins at
@@ -58,16 +66,15 @@
 
 namespace bsoap::diffwire {
 
-/// Opaque per-replica state a higher layer hangs off a pinned replica —
-/// e.g. the server's cached parse of the replica body. The store manages
-/// its lifetime and its memory: a re-pin drops the attachment (the body it
-/// described is gone) and an eviction or NACK releases the store's
-/// reference, while in-flight holders keep theirs via the shared_ptr.
+/// Opaque per-replica state a higher layer hangs off a pinned replica's
+/// slot — e.g. the server's cached parse of the replica body. It lives and
+/// dies with the replica (a re-pin starts with an empty slot), while
+/// in-flight holders keep theirs via the shared_ptr.
 class ReplicaAttachment {
  public:
   virtual ~ReplicaAttachment() = default;
   /// Heap bytes the attachment holds, charged to the store's byte budget
-  /// when attached. Called with no store lock held.
+  /// after each serve. Called under the replica's lock; must not block.
   virtual std::size_t bytes() const = 0;
 };
 
@@ -75,7 +82,8 @@ class ReplicaStore {
  public:
   struct Options {
     std::size_t max_replicas = 64;
-    /// Budget over bodies, dictionaries and attachments; 0 = no budget.
+    /// Budget over bodies, dictionaries, piece tables and slots; 0 = no
+    /// budget.
     std::size_t max_bytes = 0;
     /// Keep a preset-compression dictionary (the pin-generation body tail,
     /// ≤ 32 KiB) alongside each replica so preset-coded bodies can be
@@ -87,52 +95,48 @@ class ReplicaStore {
   ReplicaStore() = default;
   explicit ReplicaStore(const Options& options) : options_(options) {}
 
-  /// Pins (or re-pins) `body` under `id` at epoch 0. Returns true when the
-  /// ID was already pinned — a re-offer, i.e. the sender fell back to a
-  /// full send after a NACK, invalidation or structural update. Any pin
-  /// starts a new generation and drops the previous attachment; the new
-  /// generation is written to `*generation` when non-null, for a later
-  /// attach().
-  bool pin(std::uint64_t id, std::string_view body,
-           std::uint64_t* generation = nullptr);
-
-  /// What apply() observed, for callers that maintain per-replica
-  /// attachments.
-  struct ApplyInfo {
-    std::shared_ptr<ReplicaAttachment> attachment;  ///< null if none attached
-    std::uint64_t generation = 0;
-  };
+  /// Pins (or re-pins) `body` under `id` at epoch 0, moving it in. Before
+  /// the replica is published, calls `serve(std::string_view body,
+  /// std::shared_ptr<ReplicaAttachment>& slot)` with the pinned body and
+  /// the new replica's empty slot; the body, its dictionary and whatever
+  /// the slot then holds are charged to the budget as the replica is
+  /// published. Pins whatever serve did. Returns true when the ID was
+  /// already pinned — a re-offer, i.e. the sender fell back to a full send
+  /// after a NACK, invalidation or structural update.
+  template <typename Serve>
+  bool pin(std::uint64_t id, std::string body, Serve&& serve) {
+    std::shared_ptr<Replica> replica = make_replica(id, std::move(body));
+    std::forward<Serve>(serve)(std::string_view(replica->body),
+                               replica->slot);
+    return publish(std::move(replica));
+  }
+  bool pin(std::uint64_t id, std::string body) {
+    return pin(id, std::move(body),
+               [](std::string_view, std::shared_ptr<ReplicaAttachment>&) {});
+  }
 
   /// Applies a decoded patch frame onto the pinned replica: validates ID,
   /// epoch, the length rule (replica length + Σ(new − old) == body_len) and
   /// the body's integrity root (kept by the replica's piece table, built
   /// from scratch on the first patch after a pin), advances the replica's
-  /// epoch and calls `serve(std::string_view body, const ApplyInfo& info)`
-  /// with a view of the replica's own body, still under the replica's lock.
-  /// The view is valid only during the call; an eviction or re-pin while
-  /// it runs leaves it intact. On any validation failure the replica is
-  /// erased, `serve` is not called, and an error describing the NACK
-  /// reason is returned (kNotFound for an unknown ID, kProtocolError
-  /// otherwise).
+  /// epoch and calls `serve(std::string_view body,
+  /// std::shared_ptr<ReplicaAttachment>& slot)` with a view of the
+  /// replica's own body and its slot, still under the replica's lock. The
+  /// view is valid only during the call; an eviction or re-pin while it
+  /// runs leaves it intact. The replica is then re-charged to the budget if
+  /// its body, piece table or slot changed size. On any validation failure
+  /// the replica is erased, `serve` is not called, and an error describing
+  /// the NACK reason is returned (kNotFound for an unknown ID,
+  /// kProtocolError otherwise).
   template <typename Serve>
   Status apply(const PatchFrame& frame, Serve&& serve) {
     Applied applied;
     BSOAP_RETURN_IF_ERROR(patch(frame, &applied));
     std::forward<Serve>(serve)(std::string_view(applied.replica->body),
-                               applied.info);
+                               applied.replica->slot);
+    recharge(*applied.replica);
     return Status{};
   }
-
-  /// Attaches per-replica state to `id`, but only while the replica is
-  /// still the same pin generation the caller observed — a racing re-pin
-  /// makes the attachment stale (it describes the old body) and the attach
-  /// is refused. The attachment's bytes() count against max_bytes until
-  /// the replica is re-pinned or dropped. Returns true when attached.
-  bool attach(std::uint64_t id, std::uint64_t generation,
-              std::shared_ptr<ReplicaAttachment> attachment);
-
-  /// The current attachment of `id` (test/ops hook; null when absent).
-  std::shared_ptr<ReplicaAttachment> attachment(std::uint64_t id) const;
 
   /// Decodes a preset-coded (zlib FDICT) body against one of `id`'s two
   /// dictionaries, whichever the body's DICTID names: the pin generation's
@@ -171,20 +175,21 @@ class ReplicaStore {
     std::uint64_t hashed_bytes = 0;
     std::uint64_t evictions = 0;
     std::uint64_t pinned_replicas = 0;  ///< gauge
-    std::uint64_t pinned_bytes = 0;     ///< gauge (incl. attachments)
+    /// Gauge: bodies, dictionaries, piece tables and slots.
+    std::uint64_t pinned_bytes = 0;
   };
   Stats stats() const;
 
  private:
   struct Replica {
-    Replica(std::uint64_t id_in, std::string_view body_in,
-            std::string_view dict_in)
-        : id(id_in), dict(dict_in), body(body_in) {}
+    /// Keeps the last `dict_len` bytes of the body as the dictionary.
+    Replica(std::uint64_t id_in, std::string body_in, std::size_t dict_len)
+        : id(id_in),
+          dict(body_in, body_in.size() - dict_len),
+          body(std::move(body_in)) {}
 
     // Fixed once published: a re-pin publishes a new Replica.
     const std::uint64_t id;
-    /// Monotonic pin counter: attach() refuses stale generations.
-    std::uint64_t generation = 0;
     /// Pin-generation dictionary: the tail (≤ 32 KiB) of the body as it was
     /// pinned, while `body` moves under patches; decode_preset serves
     /// either.
@@ -200,13 +205,17 @@ class ReplicaStore {
     /// only re-offers never hashes).
     std::uint64_t root = 0;
     poly::PieceTable pieces;
+    std::shared_ptr<ReplicaAttachment> slot;
 
-    // Guarded by the store's `mu_`.
-    std::shared_ptr<ReplicaAttachment> attachment;
-    std::size_t attachment_bytes = 0;  ///< attachment->bytes() at attach
-    std::size_t body_bytes = 0;        ///< body + dict, as last charged
+    /// Bytes charged to the budget. Written under `mu` and the store's
+    /// `mu_`, so either lock reads it.
+    std::size_t charged = 0;
 
-    std::size_t bytes() const { return body_bytes + attachment_bytes; }
+    /// The bytes to charge now; under `mu` (or before publishing).
+    std::size_t footprint() const {
+      return body.size() + dict.size() + pieces.heap_bytes() +
+             (slot != nullptr ? slot->bytes() : 0);
+    }
   };
   using LruIter = std::list<std::shared_ptr<Replica>>::iterator;
 
@@ -215,14 +224,19 @@ class ReplicaStore {
   struct Applied {
     std::shared_ptr<Replica> replica;
     std::unique_lock<std::mutex> lock;
-    ApplyInfo info;
   };
 
+  std::shared_ptr<Replica> make_replica(std::uint64_t id, std::string body);
+  /// pin() after the serve: charges and publishes `replica`.
+  bool publish(std::shared_ptr<Replica> replica);
   /// apply() up to the serve: finds, locks, validates and patches.
   Status patch(const PatchFrame& frame, Applied* out);
   std::shared_ptr<Replica> find(std::uint64_t id);
   /// Erases `replica` if the index still holds it and counts the NACK.
   void nack(const Replica& replica);
+  /// Charges `replica`'s footprint while the index still holds it; takes
+  /// the store mutex only when the footprint changed. Under its lock.
+  void recharge(Replica& replica);
   void remove_locked(LruIter it);
   void enforce_budget_locked();
 
@@ -231,7 +245,6 @@ class ReplicaStore {
   std::list<std::shared_ptr<Replica>> lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, LruIter> index_;
   std::size_t bytes_ = 0;
-  std::uint64_t generation_counter_ = 0;
   /// Counters bumped under either lock, so atomics.
   struct Counters {
     std::atomic<std::uint64_t> pins{0}, repins{0}, applies{0}, replays{0},

@@ -23,7 +23,8 @@ class HttpConnection {
 
   /// Caps what any compressed (gzip/deflate) body read on this connection
   /// may inflate to — the decompression-bomb bound, plumbed from server
-  /// options. Oversized bodies fail with kOutOfRange.
+  /// options — and every request body as framed (RequestParser). Oversized
+  /// bodies fail with kOutOfRange.
   void set_max_inflate_bytes(std::size_t bound) {
     max_inflate_bytes_ = bound;
     request_parser_.set_max_inflate_bytes(bound);

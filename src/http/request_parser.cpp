@@ -64,6 +64,9 @@ Status RequestParser::advance_head() {
       return Error{ErrorCode::kProtocolError,
                    "bad Content-Length: " + cl->value};
     }
+    if (n.value() > max_inflate_bytes_) {
+      return Error{ErrorCode::kOutOfRange, "Content-Length: body limit"};
+    }
     content_length_ = static_cast<std::size_t>(n.value());
   } else {
     // A request without framing headers has no body (RFC 2616 4.3).
@@ -81,6 +84,9 @@ Status RequestParser::advance_body() {
       BSOAP_RETURN_IF_ERROR(
           chunked_decoder_.feed(buf_, &request_.body, &consumed));
       buf_.erase(0, consumed);
+      if (request_.body.size() > max_inflate_bytes_) {
+        return Error{ErrorCode::kOutOfRange, "chunked: body limit"};
+      }
     }
     if (!chunked_decoder_.done()) return Status{};
     return finish_body();

@@ -37,10 +37,12 @@ class RequestParser {
   State state() const { return state_; }
   bool done() const { return state_ == State::kDone; }
 
-  /// Caps what a compressed (gzip/deflate) request body may inflate to —
-  /// the decompression-bomb bound, plumbed from server options. An
-  /// oversized body fails the feed with kOutOfRange ("deflate: output
-  /// limit"), which the engines answer with 413 instead of 400.
+  /// Caps every request body, plumbed from server options: a
+  /// Content-Length past it fails as soon as the head is parsed, a chunked
+  /// body as soon as it grows past it, and a compressed (gzip/deflate) body
+  /// when it would inflate past it (the decompression-bomb bound). Each
+  /// fails the feed with kOutOfRange, which the engines answer with 413
+  /// instead of 400.
   void set_max_inflate_bytes(std::size_t bound) { max_inflate_bytes_ = bound; }
 
   /// True once any byte of the current request has been buffered — the

@@ -232,8 +232,8 @@ class Reactor {
   struct Options {
     std::size_t max_connections = 128;
     Timeouts timeouts;
-    /// Decompression-bomb bound for compressed request bodies, plumbed into
-    /// every connection's RequestParser; an oversized body answers 413.
+    /// Request-body bound (framed or inflated), plumbed into every
+    /// connection's RequestParser; an oversized body answers 413.
     std::size_t max_inflate_bytes = 1u << 30;
     /// Prebuilt overload answer (render_overload_response()), written with
     /// Connection: close to connections the reactor refuses.

@@ -237,19 +237,16 @@ void ServerRuntime::serve_connection(
   stats_.active.fetch_sub(1, std::memory_order_relaxed);
 }
 
-bool ServerRuntime::answer_request(Worker& worker,
-                                   const http::HttpRequest& request,
+bool ServerRuntime::answer_request(Worker& worker, http::HttpRequest& request,
                                    net::Transport& transport) {
   std::string_view body = request.body;
   std::string preset_decoded;  // preset-coded sends: the inflated body
+  std::string* owned_body = &request.body;  // what an offer pins
   // Diff-wire: reconstruct patch frames against the pinned replica, and pin
   // (or re-pin) full bodies the client offers. The ack rides back on this
   // request's response via extra_headers.
   std::vector<http::Header> diff_headers;
   const std::vector<http::Header>* extra_headers = nullptr;
-  bool offered = false;
-  std::uint64_t offer_id = 0;
-  std::uint64_t offer_generation = 0;
   // Receive-side stage timing, paid only when an observer is installed.
   RecvObserver* const obs = options_.recv_observer;
   using Clock = std::chrono::steady_clock;
@@ -260,17 +257,16 @@ bool ServerRuntime::answer_request(Worker& worker,
   };
 
   // Produce the handler's RpcCall. Diff-wire requests go through the
-  // replica's cached parse (ParsedReplica) when differential
-  // deserialization is on; everything else is a full parse into a
-  // request-local call. The lease must outlive the handler AND the
+  // replica's cached parse (ParsedReplica, in the replica's slot) when
+  // differential deserialization is on; everything else is a full parse
+  // into a request-local call. The lease must outlive the handler AND the
   // response write — on the uncontended path the call points into the
-  // shared deserializer the lease's lock protects. A patch is parsed inside
-  // ReplicaStore::apply, from the replica's body in place; a fresh cached
-  // parse is attached once apply has returned.
+  // shared deserializer the lease's lock protects. An offer is parsed
+  // inside ReplicaStore::pin and a patch inside ReplicaStore::apply, both
+  // from the replica's body in place.
   const bool fused = replicas_ != nullptr && options_.diff_deserialize;
   core::ParsedReplica::Lease lease;
   soap::RpcCall full_call;
-  std::shared_ptr<core::ParsedReplica> fresh_parse;
   const auto record_deser = [this](
                                 const core::ParsedReplica::ServeReport& r) {
     switch (r.path) {
@@ -290,43 +286,21 @@ bool ServerRuntime::answer_request(Worker& worker,
       stats_.deser_demotions.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  // `patch` and `applied` are set for a patch served from its replica.
+  // `slot` is set for a body served from its replica, `runs` for a patch.
   const auto parse = [&](std::string_view text,
-                         const diffwire::PatchFrame* patch,
-                         const diffwire::ReplicaStore::ApplyInfo* applied)
+                         std::shared_ptr<diffwire::ReplicaAttachment>* slot,
+                         std::span<const diffwire::PatchRun> runs)
       -> Result<const soap::RpcCall*> {
     const Clock::time_point parse_begin =
         obs != nullptr ? Clock::now() : Clock::time_point{};
     Result<const soap::RpcCall*> parsed =
         [&]() -> Result<const soap::RpcCall*> {
-      if (fused && patch != nullptr) {
+      if (fused && slot != nullptr) {
         core::ParsedReplica::ServeReport report;
-        auto cached =
-            std::static_pointer_cast<core::ParsedReplica>(applied->attachment);
-        const bool fresh = cached == nullptr;
-        if (fresh) cached = std::make_shared<core::ParsedReplica>();
         Result<core::ParsedReplica::Lease> served =
-            fresh ? core::ParsedReplica::serve_full(cached, text,
-                                                    patch->header.epoch,
-                                                    &report)
-                  : core::ParsedReplica::serve_patch(cached, text,
-                                                     patch->header.epoch,
-                                                     patch->runs, &report);
+            core::ParsedReplica::serve(core::ParsedReplica::in(*slot), text,
+                                       runs, &report);
         if (!served.ok()) return served.error();
-        if (fresh) fresh_parse = std::move(cached);
-        record_deser(report);
-        lease = std::move(served.value());
-        return &lease.call();
-      }
-      if (fused && offered) {
-        // The offer's full body serves this request and primes the
-        // replica's cached parse for the patches that follow.
-        core::ParsedReplica::ServeReport report;
-        auto cached = std::make_shared<core::ParsedReplica>();
-        Result<core::ParsedReplica::Lease> served =
-            core::ParsedReplica::serve_full(cached, text, 0, &report);
-        if (!served.ok()) return served.error();
-        (void)replicas_->attach(offer_id, offer_generation, cached);
         record_deser(report);
         lease = std::move(served.value());
         return &lease.call();
@@ -381,6 +355,7 @@ bool ServerRuntime::answer_request(Worker& worker,
       }
       preset_decoded = std::move(decoded.value());
       body = preset_decoded;
+      owned_body = &preset_decoded;
     }
     const http::Header* content_type = request.find("Content-Type");
     if (content_type != nullptr &&
@@ -410,16 +385,14 @@ bool ServerRuntime::answer_request(Worker& worker,
                       "patch body_len exceeds max_inflate_bytes"}))
             .ok();
       }
-      std::uint64_t generation = 0;
       const Status applied = replicas_->apply(
           patch, [&](std::string_view replica_body,
-                     const diffwire::ReplicaStore::ApplyInfo& info) {
+                     std::shared_ptr<diffwire::ReplicaAttachment>& slot) {
             if (obs != nullptr) {
               obs->on_stage(RecvStage::kPatchApply, elapsed_ns(apply_begin),
                             replica_body.size());
             }
-            generation = info.generation;
-            call = parse(replica_body, &patch, &info);
+            call = parse(replica_body, &slot, patch.runs);
           });
       if (!applied.ok()) {
         // Unknown template, epoch gap, bad bounds or checksum: the replica
@@ -429,12 +402,6 @@ bool ServerRuntime::answer_request(Worker& worker,
             .send(diffwire::render_nack_response(header.template_id,
                                                  applied.error().message))
             .ok();
-      }
-      if (fresh_parse != nullptr) {
-        // Refused when a re-pin raced the parse: the next patch simply
-        // full-parses again. Never a NACK.
-        (void)replicas_->attach(header.template_id, generation,
-                                std::move(fresh_parse));
       }
       stats_.patch_sends.fetch_add(1, std::memory_order_relaxed);
       if (header.replay()) {
@@ -453,9 +420,16 @@ bool ServerRuntime::answer_request(Worker& worker,
       if (diff != nullptr && diff->value == diffwire::kOfferValue &&
           id_header != nullptr &&
           diffwire::parse_template_id(id_header->value, &id)) {
-        offered = true;
-        offer_id = id;
-        if (replicas_->pin(id, body, &offer_generation)) {
+        // The offer's full body moves into the replica; its parse serves
+        // this request and primes the replica's cached parse for the
+        // patches that follow.
+        const bool repin = replicas_->pin(
+            id, std::move(*owned_body),
+            [&](std::string_view pinned,
+                std::shared_ptr<diffwire::ReplicaAttachment>& slot) {
+              call = parse(pinned, &slot, {});
+            });
+        if (repin) {
           // Re-pin of a known template: the client fell back to a full
           // send after a nack or a structural update.
           stats_.fallback_full_sends.fetch_add(1, std::memory_order_relaxed);
@@ -480,7 +454,7 @@ bool ServerRuntime::answer_request(Worker& worker,
       }
     }
   }
-  if (!call.has_value()) call = parse(body, nullptr, nullptr);
+  if (!call.has_value()) call = parse(body, nullptr, {});
   if (!call->ok()) {
     // The HTTP framing was intact, so the connection stays usable: answer
     // 400 + fault and keep serving.

@@ -133,9 +133,10 @@ struct ServerRuntimeOptions {
   std::vector<http::ContentCoding> codings{http::ContentCoding::kGzip,
                                            http::ContentCoding::kDeflate,
                                            http::ContentCoding::kDeflatePreset};
-  /// Decompression-bomb bound: the most a compressed request body (gzip,
-  /// deflate or deflate-preset) may inflate to. An oversized body is
-  /// answered 413 Payload Too Large with a Client fault.
+  /// Request-body bound: the most any request body may hold — as framed
+  /// (Content-Length or chunked), inflated (gzip, deflate or
+  /// deflate-preset), or reconstructed from a diff-wire patch. An oversized
+  /// body is answered 413 Payload Too Large with a Client fault.
   std::size_t max_inflate_bytes = 1u << 30;
 
   ServerRuntimeOptions() {
@@ -192,7 +193,8 @@ class ServerRuntime {
   /// socket on the reactor path — so the bytes are identical by
   /// construction. Returns false when the write failed and the connection
   /// must close.
-  bool answer_request(Worker& worker, const http::HttpRequest& request,
+  /// An offered body is moved out of `request` into the replica store.
+  bool answer_request(Worker& worker, http::HttpRequest& request,
                       net::Transport& transport);
   /// Serializes a SOAP fault and sends it with the given HTTP status.
   /// Returns false if the write failed (connection is dead).

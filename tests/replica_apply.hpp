@@ -3,6 +3,7 @@
 // inspect the body afterwards copy it out there.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -12,17 +13,15 @@
 
 namespace bsoap::testing {
 
-/// Applies `frame` and copies the served body into `*body` (and the apply
-/// info into `*info` when non-null). Both are left untouched on a NACK.
+/// Applies `frame` and copies the served body into `*body`, which is left
+/// untouched on a NACK.
 inline Status apply_copy(diffwire::ReplicaStore& store,
-                         const diffwire::PatchFrame& frame, std::string* body,
-                         diffwire::ReplicaStore::ApplyInfo* info = nullptr) {
-  return store.apply(frame,
-                     [&](std::string_view served,
-                         const diffwire::ReplicaStore::ApplyInfo& applied) {
-                       body->assign(served);
-                       if (info != nullptr) *info = applied;
-                     });
+                         const diffwire::PatchFrame& frame, std::string* body) {
+  return store.apply(
+      frame, [&](std::string_view served,
+                 std::shared_ptr<diffwire::ReplicaAttachment>&) {
+        body->assign(served);
+      });
 }
 
 }  // namespace bsoap::testing

@@ -10,7 +10,9 @@
 #include <span>
 
 #include "buffer/sinks.hpp"
+#include "common/rng.hpp"
 #include "core/diff_deserializer.hpp"
+#include "core/template_builder.hpp"
 #include "soap/envelope_reader.hpp"
 #include "soap/envelope_writer.hpp"
 #include "soap/workload.hpp"
@@ -50,6 +52,45 @@ std::vector<diffwire::PatchRun> byte_diff_runs(std::string_view old_doc,
     }
   }
   return runs;
+}
+
+/// A type-max-stuffed document, as a stuffed sender's template holds it:
+/// each value's closing tag is followed by whitespace padding up to the
+/// double's maximum width.
+std::string stuffed(const std::vector<double>& values) {
+  TemplateConfig config;
+  config.stuffing.mode = StuffingPolicy::Mode::kTypeMax;
+  return build_template(soap::make_double_array_call(values), config)
+      ->buffer()
+      .linearize();
+}
+
+/// Doubles of serialized widths 1–24: stuffed, their paddings differ.
+std::vector<double> mixed_width_values(std::size_t n, std::uint64_t seed) {
+  bsoap::Rng rng(seed);
+  std::vector<double> values(n);
+  for (double& v : values) {
+    v = soap::double_with_serialized_length(
+        rng, 1 + static_cast<int>(rng.next_below(24)));
+  }
+  return values;
+}
+
+/// The structure after leaf `k`'s text: to the next leaf's text.
+std::string_view piece_after(std::string_view doc,
+                             std::span<const DiffDeserializer::LeafRegion> r,
+                             std::size_t k) {
+  return doc.substr(r[k].end, r[k + 1].begin - r[k].end);
+}
+
+/// Renames the element around leaf `k`'s text (open and close tag) by
+/// replacing the last letter of its name with `letter`: same length.
+void rename_leaf(std::string& doc,
+                 std::span<const DiffDeserializer::LeafRegion> r,
+                 std::size_t k, char letter) {
+  doc[r[k].begin - 2] = letter;  // <name>text
+  const std::size_t close = doc.find('>', r[k].end);
+  doc[close - 1] = letter;       // text</name>
 }
 
 /// Value-identity against the always-full-parse oracle, via the canonical
@@ -179,15 +220,112 @@ TEST(DiffDeserializer, ScalarParamsDisableFastPathSafely) {
   EXPECT_EQ(deser.call().params[0].value.as_int(), 54321);
 }
 
-TEST(DiffDeserializer, BytesCoverDocumentAndParsedCall) {
+TEST(DiffDeserializer, BytesCoverTheParsedCallNotTheDocument) {
   DiffDeserializer deser;
   EXPECT_LT(deser.bytes(), 64u);
   const auto values = soap::doubles_with_serialized_length(1000, 18, 12);
   const std::string doc = serialize(soap::make_double_array_call(values));
   ASSERT_TRUE(deser.prime(doc).ok());
-  // The document copy, the parsed doubles and one region + slot per leaf.
-  EXPECT_GE(deser.bytes(), doc.size() + values.size() * sizeof(double) +
-                               values.size() * (2 * sizeof(std::size_t)));
+  // The parsed doubles and, per leaf, a region, a slot and a piece id; the
+  // document itself stays with the caller.
+  const std::size_t per_leaf = sizeof(double) +
+                               2 * sizeof(std::size_t) +  // region
+                               2 * sizeof(void*) +        // slot
+                               sizeof(std::uint32_t);     // piece id
+  EXPECT_GE(deser.bytes(), values.size() * (per_leaf - sizeof(void*)));
+  EXPECT_LT(deser.bytes(), values.size() * per_leaf + doc.size() / 4);
+}
+
+TEST(DiffDeserializer, PatchSteadyShapedBodyCostsUnder700KB) {
+  // 10,000 type-max-stuffed 17-character doubles: a 370 KB body. With a
+  // copy of the document the cache held 1,026,116 bytes.
+  const std::string doc =
+      stuffed(soap::doubles_with_serialized_length(10000, 17, 13));
+  ASSERT_GT(doc.size(), 360000u);
+  DiffDeserializer deser;
+  ASSERT_TRUE(deser.prime(doc).ok());
+  ASSERT_TRUE(deser.fast_path_usable());
+  EXPECT_LE(deser.bytes(), 700000u);
+}
+
+TEST(DiffDeserializerApplyRuns, WhitespaceChangeAgainstAnotherPaddingFastParses) {
+  // Leaf k's padding differs from the first leaf's, whose raw bytes stand
+  // for every `</item>···<item>` piece: turning one of its pad bytes into a
+  // newline changes only whitespace between tags, so the window re-scan
+  // accepts it by tokens.
+  const std::string doc = stuffed(mixed_width_values(40, 61));
+  DiffDeserializer deser;
+  ASSERT_TRUE(deser.prime(doc).ok());
+  ASSERT_TRUE(deser.fast_path_usable());
+  const auto regions = deser.regions();
+  std::size_t k = 1;
+  while (k + 2 < regions.size() &&
+         (piece_after(doc, regions, k) == piece_after(doc, regions, 0) ||
+          piece_after(doc, regions, k).find(' ') == std::string_view::npos)) {
+    ++k;
+  }
+  ASSERT_LT(k + 2, regions.size());
+  std::string fresh = doc;
+  fresh[doc.find(' ', regions[k].end)] = '\n';
+  const auto runs = byte_diff_runs(doc, fresh, 0);
+  ASSERT_EQ(runs.size(), 1u);
+
+  Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(fresh, runs);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFastParse);
+  EXPECT_FALSE(report.value().demoted);
+  expect_matches_oracle(deser, fresh);
+}
+
+TEST(DiffDeserializerApplyRuns, SameLengthTagChangeInsideWindowDemotes) {
+  const std::string doc = stuffed(mixed_width_values(40, 62));
+  DiffDeserializer deser;
+  ASSERT_TRUE(deser.prime(doc).ok());
+  const auto regions = deser.regions();
+  std::string fresh = doc;
+  rename_leaf(fresh, regions, 20, 'x');
+  const auto runs = byte_diff_runs(doc, fresh, 0);
+  ASSERT_EQ(runs.size(), 2u);
+
+  Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(fresh, runs);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
+  EXPECT_TRUE(report.value().demoted);
+  expect_matches_oracle(deser, fresh);
+}
+
+TEST(DiffDeserializerApplyRuns, ValueBesideAnotherTagOfTheSameLengthFastParses) {
+  // One item of the document is named differently, so the pieces around it
+  // hold other tokens than their neighbours, at the same length: a value
+  // change on either side must be matched against its own piece.
+  std::vector<double> values = mixed_width_values(40, 63);
+  std::string doc = stuffed(values);
+  {
+    DiffDeserializer probe;
+    ASSERT_TRUE(probe.prime(doc).ok());
+    rename_leaf(doc, probe.regions(), 20, 'x');
+  }
+  DiffDeserializer deser;
+  ASSERT_TRUE(deser.prime(doc).ok());
+  ASSERT_TRUE(deser.fast_path_usable());
+  const auto regions = deser.regions();
+  for (const std::size_t k : {19u, 20u, 21u}) {
+    SCOPED_TRACE(k);
+    std::string fresh = doc;
+    // A same-width digit change: '1' ↔ '2' in the value's last digit.
+    std::size_t at = regions[k].end - 1;
+    while (fresh[at] < '1' || fresh[at] > '2') --at;
+    ASSERT_GE(at, regions[k].begin);
+    fresh[at] = fresh[at] == '1' ? '2' : '1';
+    const auto runs = byte_diff_runs(doc, fresh, 0);
+    Result<DiffDeserializer::ApplyReport> report =
+        deser.apply_runs(fresh, runs);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFastParse);
+    EXPECT_FALSE(report.value().demoted);
+    expect_matches_oracle(deser, fresh);
+    doc = fresh;
+  }
 }
 
 TEST(DiffDeserializerApplyRuns, EmptyRunsAreAContentHit) {

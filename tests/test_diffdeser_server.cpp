@@ -500,23 +500,32 @@ TEST(DiffDeserServer, OversizedPatchBodyAnswers413) {
 // --- the replica byte budget charges cached parses -------------------------
 
 // The replica byte budget covers each replica's cached parse, not only its
-// body: a ParsedReplica holds a second copy of the body plus the parsed
-// call and the region/slot tables, so charging only the body let twice as
-// many replicas stay pinned as the budget was sized for.
+// body: a ParsedReplica holds the parsed call, the region/slot tables and
+// the structure pieces, so charging only the body let more replicas stay
+// pinned than the budget was sized for.
 TEST(DiffDeserServer, ReplicaBudgetChargesTheCachedParse) {
   constexpr std::size_t kReplicas = 4;
   const auto body_for = [](std::uint64_t seed) {
     return serialize(soap::make_double_array_call(
         soap::doubles_with_serialized_length(200, 18, seed)));
   };
-  const auto parsed_for = [](const std::string& body) {
-    auto parsed = std::make_shared<core::ParsedReplica>();
-    EXPECT_TRUE(core::ParsedReplica::serve_full(parsed, body, 0, nullptr).ok());
-    return parsed;
+  // Pins `body` with its cached parse in the slot, as an offer does.
+  const auto pin_parsed = [](diffwire::ReplicaStore& store, std::uint64_t id,
+                             std::string body) {
+    store.pin(id, std::move(body),
+              [](std::string_view pinned,
+                 std::shared_ptr<diffwire::ReplicaAttachment>& slot) {
+                EXPECT_TRUE(core::ParsedReplica::serve(
+                                core::ParsedReplica::in(slot), pinned, {},
+                                nullptr)
+                                .ok());
+              });
   };
   const std::string probe_body = body_for(1);
-  const std::size_t parse_bytes = parsed_for(probe_body)->bytes();
-  ASSERT_GT(parse_bytes, probe_body.size());  // outweighs the body alone
+  auto probe = std::make_shared<core::ParsedReplica>();
+  ASSERT_TRUE(core::ParsedReplica::serve(probe, probe_body, {}, nullptr).ok());
+  const std::size_t parse_bytes = probe->bytes();
+  ASSERT_GT(parse_bytes, 200 * sizeof(double));
   const std::size_t footprint = probe_body.size() + parse_bytes;
 
   diffwire::ReplicaStore::Options options;
@@ -524,27 +533,23 @@ TEST(DiffDeserServer, ReplicaBudgetChargesTheCachedParse) {
   options.max_bytes = kReplicas * footprint;
   diffwire::ReplicaStore store(options);
   for (std::uint64_t id = 1; id <= 2 * kReplicas; ++id) {
-    const std::string body = body_for(id);
-    std::uint64_t generation = 0;
-    store.pin(id, body, &generation);
-    ASSERT_TRUE(store.attach(id, generation, parsed_for(body)));
+    pin_parsed(store, id, body_for(id));
   }
   diffwire::ReplicaStore::Stats stats = store.stats();
   EXPECT_EQ(stats.pinned_replicas, kReplicas);
   EXPECT_EQ(stats.evictions, kReplicas);
   EXPECT_EQ(stats.pinned_bytes, kReplicas * footprint);
 
-  // A re-pin drops the stale parse and releases its charge.
+  // A re-pin starts with an empty slot: the stale parse's charge goes.
   const std::uint64_t newest = 2 * kReplicas;
   store.pin(newest, body_for(newest));
   stats = store.stats();
   EXPECT_EQ(stats.pinned_bytes, kReplicas * footprint - parse_bytes);
-  EXPECT_EQ(store.attachment(newest), nullptr);
 
   // A NACK erases the replica with its parse.
-  const std::uint64_t attached = newest - 1;
+  const std::uint64_t parsed = newest - 1;
   diffwire::PatchFrame bad;
-  bad.header.template_id = attached;
+  bad.header.template_id = parsed;
   bad.header.epoch = 7;  // epoch gap
   bad.header.body_len = static_cast<std::uint32_t>(probe_body.size());
   std::string scratch;

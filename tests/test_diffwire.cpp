@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "buffer/sinks.hpp"
 #include "common/poly_hash.hpp"
 #include "common/rng.hpp"
 #include "compress/deflate.hpp"
@@ -36,6 +38,7 @@
 #include "server/reactor.hpp"
 #include "server/server_runtime.hpp"
 #include "soap/envelope_reader.hpp"
+#include "soap/envelope_writer.hpp"
 #include "soap/workload.hpp"
 #include "replica_apply.hpp"
 #include "typed_array_docs.hpp"
@@ -238,7 +241,12 @@ TEST(ReplicaStore, AppliesRunsAndAdvancesEpoch) {
   EXPECT_EQ(stats.repins, 1u);
   EXPECT_EQ(stats.applies, 2u);
   EXPECT_EQ(stats.pinned_replicas, 1u);
-  EXPECT_EQ(stats.pinned_bytes, 11u);
+  // The body and its piece table: built by the first patch, its overwrite
+  // bitmap grown by the second.
+  poly::PieceTable pieces;
+  pieces.build(v1.data(), v1.size());
+  pieces.overwrite(0, 6);
+  EXPECT_EQ(stats.pinned_bytes, v2.size() + pieces.heap_bytes());
 }
 
 TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
@@ -344,7 +352,8 @@ TEST(ReplicaStore, ServeOfOneReplicaBlocksNoOtherReplica) {
   std::atomic<bool> release{false};
   std::thread serve_a([&] {
     const Status applied = store.apply(
-        a.value(), [&](std::string_view body, const ReplicaStore::ApplyInfo&) {
+        a.value(),
+        [&](std::string_view body, std::shared_ptr<ReplicaAttachment>&) {
           serving = true;
           while (!release) std::this_thread::sleep_for(1ms);
           EXPECT_EQ(body, "hello earth");
@@ -398,7 +407,7 @@ TEST(ReplicaStore, ServedViewOutlivesEvictionRepinAndClear) {
     std::thread serve([&] {
       const Status applied = store.apply(
           frame.value(),
-          [&](std::string_view body, const ReplicaStore::ApplyInfo&) {
+          [&](std::string_view body, std::shared_ptr<ReplicaAttachment>&) {
             serving = true;
             while (!dropped) std::this_thread::sleep_for(1ms);
             seen.assign(body);  // reads the whole view after the drop
@@ -447,10 +456,11 @@ class SizedAttachment final : public ReplicaAttachment {
 
 TEST(ReplicaStore, NacksRacePinsWithoutDeadlockOrLeakedBytes) {
   // 8 threads × 2,000 seeded operations over 6 IDs in a store that holds 4:
-  // pins, patches that apply or NACK (epoch gap, length or checksum),
-  // splices, undecodable preset bodies, attaches and invalidations all race
-  // one another. TSan checks the locking; the byte count must come back to
-  // zero once every replica is dropped.
+  // pins (some filling the new replica's slot), patches that apply or NACK
+  // (epoch gap, length or checksum) and sometimes fill the slot, splices,
+  // undecodable preset bodies and invalidations all race one another. TSan
+  // checks the locking; the byte count must come back to zero once every
+  // replica is dropped.
   ReplicaStore::Options options;
   options.max_replicas = 4;
   options.max_bytes = 2048;
@@ -468,30 +478,25 @@ TEST(ReplicaStore, NacksRacePinsWithoutDeadlockOrLeakedBytes) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       bsoap::Rng rng(static_cast<std::uint64_t>(t) * 7919 + 17);
-      std::uint64_t generations[kIds] = {};
       for (int op = 0; op < kOps; ++op) {
         const std::uint64_t id = rng.next_below(kIds);
         const std::string body = pinned_body(id);
         const auto epoch = static_cast<std::uint32_t>(1 + rng.next_below(3));
         switch (rng.next_below(6)) {
           case 0:
-            store.pin(id, body, &generations[id]);
+            store.pin(id, body);
             break;
           case 1: {  // rewrites a byte with itself: applies iff the epoch fits
             const std::string wire = make_patch(id, epoch, body, 3, 1);
             Result<PatchFrame> frame = decode_patch(wire);
-            ReplicaStore::ApplyInfo seen;
-            const Status applied = store.apply(
-                frame.value(),
-                [&](std::string_view view, const ReplicaStore::ApplyInfo& i) {
+            const bool fill = rng.next_below(2) == 0;
+            (void)store.apply(
+                frame.value(), [&](std::string_view view,
+                                   std::shared_ptr<ReplicaAttachment>& slot) {
                   EXPECT_EQ(view, body);
-                  seen = i;
+                  if (fill) slot = std::make_shared<SizedAttachment>(32);
                   served.fetch_add(1, std::memory_order_relaxed);
                 });
-            if (applied.ok() && rng.next_below(2) == 0) {
-              (void)store.attach(id, seen.generation,
-                                 std::make_shared<SizedAttachment>(32));
-            }
             break;
           }
           case 2: {  // grows the body by a byte: later patches NACK on length
@@ -523,8 +528,11 @@ TEST(ReplicaStore, NacksRacePinsWithoutDeadlockOrLeakedBytes) {
             EXPECT_FALSE(store.decode_preset(id, "not zlib", 1024).ok());
             break;
           case 4:
-            (void)store.attach(id, generations[id],
-                               std::make_shared<SizedAttachment>(16));
+            store.pin(id, body,
+                      [](std::string_view,
+                         std::shared_ptr<ReplicaAttachment>& slot) {
+                        slot = std::make_shared<SizedAttachment>(16);
+                      });
             break;
           default:
             if (rng.next_below(4) == 0) {
@@ -546,6 +554,225 @@ TEST(ReplicaStore, NacksRacePinsWithoutDeadlockOrLeakedBytes) {
   for (std::uint64_t id = 0; id < kIds; ++id) (void)store.invalidate(id);
   EXPECT_EQ(store.stats().pinned_replicas, 0u);
   EXPECT_EQ(store.stats().pinned_bytes, 0u);
+}
+
+TEST(ReplicaStore, PinnedBytesCountBodyDictionaryPiecesAndSlotExactly) {
+  // The byte gauge is exactly what each replica holds: its body, its
+  // dictionary, its piece table (built by the first patch, resized by a
+  // splice) and whatever its slot holds.
+  ReplicaStore::Options options;
+  options.retain_dictionaries = true;
+  ReplicaStore store(options);
+  constexpr std::size_t kDict = 32 * 1024;
+  const auto fill_slot = [](std::size_t n) {
+    return [n](std::string_view, std::shared_ptr<ReplicaAttachment>& slot) {
+      slot = std::make_shared<SizedAttachment>(n);
+    };
+  };
+  std::string body(40000, 'a');
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>('a' + i * 7 % 26);
+  }
+  store.pin(1, body, fill_slot(100));
+  EXPECT_EQ(store.stats().pinned_bytes, body.size() + kDict + 100);
+
+  // First patch: an overwrite, served with the slot left as it is.
+  body.replace(5000, 3, "xyz");
+  const std::string first_wire = make_patch(1, 1, body, 5000, 3);
+  Result<PatchFrame> first = decode_patch(first_wire);
+  ASSERT_TRUE(first.ok());
+  std::string served;
+  ASSERT_TRUE(apply_copy(store, first.value(), &served).ok());
+  poly::PieceTable pieces;  // mirrors the replica's table
+  pieces.build(body.data(), body.size());
+  EXPECT_EQ(store.stats().pinned_bytes,
+            body.size() + kDict + pieces.heap_bytes() + 100);
+
+  // A splice grows the body by 6 bytes; its serve swaps the slot.
+  const std::string before = body;
+  body.replace(20000, 4, "0123456789");
+  PatchHeader header;
+  header.template_id = 1;
+  header.epoch = 2;
+  header.run_count = 1;
+  header.body_len = static_cast<std::uint32_t>(body.size());
+  header.checksum = poly::hash(body);
+  std::string splice_wire;
+  append_patch_header(splice_wire, header);
+  append_splice_header(splice_wire, 20000, 10, 4);
+  splice_wire += "0123456789";
+  Result<PatchFrame> splice = decode_patch(splice_wire);
+  ASSERT_TRUE(splice.ok());
+  ASSERT_TRUE(store.apply(splice.value(), fill_slot(250)).ok());
+  pieces.splice(20000, 4, 10);
+  pieces.refresh(body.data());
+  EXPECT_EQ(store.stats().pinned_bytes,
+            body.size() + kDict + pieces.heap_bytes() + 250);
+
+  // A second replica; a NACK then drops the first with everything it held.
+  store.pin(2, "second", fill_slot(7));
+  EXPECT_EQ(store.stats().pinned_bytes, body.size() + kDict +
+                                            pieces.heap_bytes() + 250 +
+                                            2 * 6 + 7);
+  const std::string gap_wire = make_patch(1, 9, body, 0, 1);  // epoch gap
+  Result<PatchFrame> gap = decode_patch(gap_wire);
+  ASSERT_TRUE(gap.ok());
+  EXPECT_FALSE(apply_copy(store, gap.value(), &served).ok());
+  EXPECT_EQ(store.stats().pinned_bytes, 2 * 6 + 7u);
+
+  store.clear();
+  EXPECT_EQ(store.stats().pinned_bytes, 0u);
+}
+
+std::string serialize_call(const RpcCall& call) {
+  buffer::StringSink sink;
+  soap::write_rpc_envelope(sink, call);
+  return sink.take();
+}
+
+/// Lexical spans of a double array body's values.
+std::vector<soap::LeafSpan> value_spans(std::string_view body) {
+  soap::LeafSpans leaves;
+  EXPECT_TRUE(soap::read_rpc_envelope(body, &leaves).ok());
+  return leaves.spans;
+}
+
+TEST(ReplicaStore, ConcurrentOffersAndPatchesOfOneIdServeExactParses) {
+  // Four threads offer and patch one wire ID, each against the latest body
+  // it knows (or, now and then, the one before), so patches race re-offers
+  // and each other: some NACK, the rest apply. Each is
+  // served the way the server serves it — the cached parse in the
+  // replica's slot, under the replica's lock — and every served call must
+  // equal a full parse of the body it was served with.
+  ReplicaStore store;
+  constexpr std::uint64_t kId = 5;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 300;
+  struct Known {
+    std::mutex mu;
+    std::string body;
+    std::uint32_t epoch = 0;
+  } known;
+  std::atomic<std::uint64_t> served{0}, fast{0}, wrong{0};
+  // Serves into the slot; the lease outlives the replica lock, as the
+  // server's does across its handler.
+  const auto serve_checked = [&](std::string_view body,
+                                 std::shared_ptr<ReplicaAttachment>& slot,
+                                 std::span<const PatchRun> runs) {
+    core::ParsedReplica::ServeReport report;
+    Result<core::ParsedReplica::Lease> lease = core::ParsedReplica::serve(
+        core::ParsedReplica::in(slot), body, runs, &report);
+    Result<RpcCall> full = soap::read_rpc_envelope(body);
+    if (!lease.ok() || !full.ok() ||
+        !testing::bit_equal(lease.value().call(), full.value())) {
+      wrong.fetch_add(1, std::memory_order_relaxed);
+    }
+    served.fetch_add(1, std::memory_order_relaxed);
+    if (report.path == core::DiffDeserializer::ApplyPath::kFastParse) {
+      fast.fetch_add(1, std::memory_order_relaxed);
+    }
+    return lease;
+  };
+  const auto offer = [&](bsoap::Rng& rng) {
+    std::vector<double> values(24);
+    for (double& v : values) {
+      v = soap::double_with_serialized_length(
+          rng, 1 + static_cast<int>(rng.next_below(20)));
+    }
+    std::string body = serialize_call(soap::make_double_array_call(values));
+    std::lock_guard<std::mutex> lock(known.mu);
+    known.body = body;
+    known.epoch = 0;
+    store.pin(kId, std::move(body),
+              [&](std::string_view pinned,
+                  std::shared_ptr<ReplicaAttachment>& slot) {
+                (void)serve_checked(pinned, slot, {});
+              });
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      bsoap::Rng rng(static_cast<std::uint64_t>(t) * 104729 + 3);
+      std::string stale_body;  // the body this thread patched last
+      std::uint32_t stale_epoch = 0;
+      for (int op = 0; op < kOps; ++op) {
+        if (rng.chance(1, 8)) {
+          offer(rng);
+          continue;
+        }
+        std::string old_body;
+        std::uint32_t epoch = 0;
+        if (!stale_body.empty() && rng.chance(1, 8)) {
+          old_body = stale_body;
+          epoch = stale_epoch;
+        } else {
+          std::lock_guard<std::mutex> lock(known.mu);
+          old_body = known.body;
+          epoch = known.epoch;
+        }
+        if (old_body.empty()) {
+          offer(rng);
+          continue;
+        }
+        // One value rewritten: a digit in place, or a new lexical of
+        // another width (a splice).
+        const std::vector<soap::LeafSpan> spans = value_spans(old_body);
+        const soap::LeafSpan span = spans[rng.next_below(spans.size())];
+        const std::size_t old_len = span.end - span.begin;
+        std::string text;
+        if (rng.chance(1, 2)) {
+          text = std::to_string(rng.next_below(10));
+          text.resize(old_len, '7');
+        } else {
+          text = std::to_string(rng.next_below(100000));
+        }
+        std::string body = old_body;
+        body.replace(span.begin, old_len, text);
+        PatchHeader header;
+        header.template_id = kId;
+        header.epoch = epoch + 1;
+        header.run_count = 1;
+        header.body_len = static_cast<std::uint32_t>(body.size());
+        header.checksum = poly::hash(body);
+        std::string wire;
+        append_patch_header(wire, header);
+        const auto offset = static_cast<std::uint32_t>(span.begin);
+        const auto length = static_cast<std::uint32_t>(text.size());
+        if (text.size() == old_len) {
+          append_run_header(wire, offset, length);
+        } else {
+          append_splice_header(wire, offset, length,
+                               static_cast<std::uint32_t>(old_len));
+        }
+        wire += text;
+        Result<PatchFrame> frame = decode_patch(wire);
+        ASSERT_TRUE(frame.ok());
+        Result<core::ParsedReplica::Lease> lease =
+            Error{ErrorCode::kInternal, "not served"};
+        const Status applied = store.apply(
+            frame.value(), [&](std::string_view view,
+                               std::shared_ptr<ReplicaAttachment>& slot) {
+              lease = serve_checked(view, slot, frame.value().runs);
+            });
+        stale_body = old_body;
+        stale_epoch = epoch;
+        if (applied.ok()) {
+          std::lock_guard<std::mutex> lock(known.mu);
+          if (known.body == old_body && known.epoch == epoch) {
+            known.body = std::move(body);
+            known.epoch = epoch + 1;
+          }
+        } else if (rng.chance(1, 2)) {
+          offer(rng);  // the sender's fallback after a NACK
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(served.load(), std::uint64_t{kThreads * kOps / 4});
+  EXPECT_GT(fast.load(), 0u);
+  EXPECT_GT(store.stats().nacks, 0u);
 }
 
 // --- pipeline patch sends reconstruct byte-for-byte ------------------------
@@ -1196,7 +1423,6 @@ TEST(DiffWireSpliceModel, SeededUpdateSequencesKeepReplicaParseAndRootsExact) {
     ClientSession session(/*token=*/seed);
     pipeline.set_diffwire(&session);
     ReplicaStore store;
-    std::shared_ptr<core::ParsedReplica> parsed;
 
     const bool mio = seed % 4 == 1;
     std::vector<double> values(20 + rng.next_below(120));
@@ -1240,26 +1466,29 @@ TEST(DiffWireSpliceModel, SeededUpdateSequencesKeepReplicaParseAndRootsExact) {
 
       const http::HttpRequest request = parse_request(wire);
       const std::uint64_t wire_id = session.wire_id(call.structure_signature());
+      // Served the way the server does: in the replica's slot.
       std::string replica;
-      Result<core::ParsedReplica::Lease> served =
-          Error{ErrorCode::kInternal, "not served"};
+      std::optional<Result<core::ParsedReplica::Lease>> served;
       core::ParsedReplica::ServeReport serve_report;
+      const auto serve = [&](std::span<const PatchRun> runs) {
+        return [&, runs](std::string_view body,
+                         std::shared_ptr<ReplicaAttachment>& slot) {
+          replica.assign(body);
+          served = core::ParsedReplica::serve(core::ParsedReplica::in(slot),
+                                              body, runs, &serve_report);
+        };
+      };
       if (report.patch_send) {
         Result<PatchFrame> frame = decode_patch(request.body);
         ASSERT_TRUE(frame.ok()) << frame.error().to_string();
         for (const PatchRun& run : frame.value().runs) {
           splice_frames += run.splice;
         }
-        ReplicaStore::ApplyInfo info;
         const Status applied =
-            apply_copy(store, frame.value(), &replica, &info);
+            store.apply(frame.value(), serve(frame.value().runs));
         ASSERT_TRUE(applied.ok())
             << "seed " << seed << " step " << step << ": "
             << applied.error().to_string();
-        ASSERT_EQ(info.attachment, parsed);
-        served = core::ParsedReplica::serve_patch(
-            parsed, replica, frame.value().header.epoch, frame.value().runs,
-            &serve_report);
         ++patches;
         ++counted[static_cast<int>(serve_report.path)];
         EXPECT_FALSE(serve_report.demoted)
@@ -1274,23 +1503,18 @@ TEST(DiffWireSpliceModel, SeededUpdateSequencesKeepReplicaParseAndRootsExact) {
       } else {
         ASSERT_NE(request.find(kDiffHeader), nullptr);
         ASSERT_EQ(request.find(kDiffHeader)->value, kOfferValue);
-        replica = request.body;
-        std::uint64_t generation = 0;
-        store.pin(wire_id, replica, &generation);
-        parsed = std::make_shared<core::ParsedReplica>();
-        served = core::ParsedReplica::serve_full(parsed, replica, 0,
-                                                 &serve_report);
-        ASSERT_TRUE(store.attach(wire_id, generation, parsed));
+        store.pin(wire_id, request.body, serve({}));
         session.note_ack(wire_id);
         ++offers;
       }
       ASSERT_EQ(replica, body) << "seed " << seed << " step " << step;  // 1
-      ASSERT_TRUE(served.ok()) << served.error().to_string();
+      ASSERT_TRUE(served.has_value());
+      ASSERT_TRUE(served->ok()) << served->error().to_string();
       Result<RpcCall> full = soap::read_rpc_envelope(replica);  // oracle 3
       ASSERT_TRUE(full.ok());
-      ASSERT_TRUE(testing::bit_equal(served.value().call(), full.value()))
+      ASSERT_TRUE(testing::bit_equal(served->value().call(), full.value()))
           << "seed " << seed << " step " << step;
-      ASSERT_TRUE(testing::bit_equal(served.value().call(), call))
+      ASSERT_TRUE(testing::bit_equal(served->value().call(), call))
           << "seed " << seed << " step " << step;
     }
     // Oracle 4: one path per applied patch, nothing NACKed.

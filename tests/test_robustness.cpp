@@ -486,12 +486,14 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
             : soap::make_mio_array_call(
                   soap::random_mios(16 + rng.next_below(48), seed));
     model = serialize_call(call);
-    std::uint64_t generation = 0;
-    store.pin(kId, model, &generation);
-    auto parsed = std::make_shared<core::ParsedReplica>();
-    ASSERT_TRUE(
-        core::ParsedReplica::serve_full(parsed, model, 0, nullptr).ok());
-    store.attach(kId, generation, parsed);
+    store.pin(kId, model,
+              [](std::string_view pinned,
+                 std::shared_ptr<diffwire::ReplicaAttachment>& slot) {
+                ASSERT_TRUE(core::ParsedReplica::serve(
+                                core::ParsedReplica::in(slot), pinned, {},
+                                nullptr)
+                                .ok());
+              });
     epoch = 0;
   };
   pin_fresh();
@@ -614,9 +616,17 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
     frame.header.checksum = rng.chance(1, 10) ? rng.next_below(poly::kModulus)
                                               : poly::hash(expected);
 
+    // Served the way the server does: in the replica's slot, under its lock.
     std::string reconstructed;
-    diffwire::ReplicaStore::ApplyInfo info;
-    const Status status = apply_copy(store, frame, &reconstructed, &info);
+    core::ParsedReplica::ServeReport report;
+    std::optional<Result<core::ParsedReplica::Lease>> served;
+    const Status status = store.apply(
+        frame, [&](std::string_view body,
+                   std::shared_ptr<diffwire::ReplicaAttachment>& slot) {
+          reconstructed.assign(body);
+          served = core::ParsedReplica::serve(core::ParsedReplica::in(slot),
+                                              body, frame.runs, &report);
+        });
     if (!status.ok()) {
       // A NACK erased the replica; the sender's re-offer re-pins.
       ASSERT_EQ(store.stats().pinned_replicas, 0u);
@@ -629,26 +639,16 @@ TEST(RobustnessFuzz, ReplicaApplyAndCachedParseSurviveAdversarialFrames) {
     epoch = frame.header.epoch;
     ++applied;
 
-    core::ParsedReplica::ServeReport report;
-    auto parsed =
-        std::static_pointer_cast<core::ParsedReplica>(info.attachment);
-    const bool fresh = parsed == nullptr;
-    if (fresh) parsed = std::make_shared<core::ParsedReplica>();
-    Result<core::ParsedReplica::Lease> served =
-        fresh ? core::ParsedReplica::serve_full(parsed, reconstructed, epoch,
-                                                &report)
-              : core::ParsedReplica::serve_patch(parsed, reconstructed, epoch,
-                                                 frame.runs, &report);
-    if (fresh) store.attach(kId, info.generation, parsed);
+    ASSERT_TRUE(served.has_value());
     Result<soap::RpcCall> full = soap::read_rpc_envelope(reconstructed);
-    if (!served.ok()) {
+    if (!served->ok()) {
       ASSERT_FALSE(full.ok()) << "round " << round << ": "
-                              << served.error().to_string();
+                              << served->error().to_string();
       pin_fresh();  // keep most rounds on a parseable replica
       continue;
     }
     ASSERT_TRUE(full.ok()) << "round " << round;
-    ASSERT_EQ(serialize_call(served.value().call()),
+    ASSERT_EQ(serialize_call(served->value().call()),
               serialize_call(full.value()))
         << "round " << round;
     if (report.path == core::DiffDeserializer::ApplyPath::kFastParse) {

@@ -562,11 +562,19 @@ TEST(WireCodingEndToEnd, DisabledCodingsAnswerIdentity) {
 
 // --- decompression bound ---------------------------------------------------
 
-void expect_bomb_answers_413(server::IoModel io_model) {
+/// Request bodies past the server's body bound: a gzip body that inflates
+/// past it, a Content-Length above it (refused at the head, before any body
+/// byte arrives) and a chunked body that grows past it (no last chunk).
+enum class Oversized { kGzipBomb, kContentLength, kChunked };
+
+void expect_bomb_answers_413(server::IoModel io_model, Oversized body) {
   server::ServerRuntimeOptions options;
   options.workers = 1;
   options.io_model = io_model;
-  options.max_inflate_bytes = 1024;
+  options.max_inflate_bytes = 64 * 1024;  // above the bomb's gzip stream
+  // A server that waited for the body would close on this deadline with
+  // no answer at all.
+  options.read_timeout = std::chrono::milliseconds(3000);
   Result<std::unique_ptr<server::ServerRuntime>> server =
       server::ServerRuntime::start(sum_handler, options);
   ASSERT_TRUE(server.ok());
@@ -575,25 +583,60 @@ void expect_bomb_answers_413(server::IoModel io_model) {
       net::tcp_connect(server.value()->port());
   ASSERT_TRUE(conn.ok());
   http::HttpConnection connection(*conn.value());
-  http::HttpRequest head;
-  head.headers.push_back(http::Header{"Host", "localhost"});
-  const std::string bomb(1u << 20, 'x');  // inflates far past the bound
-  ASSERT_TRUE(
-      connection.send_request(std::move(head), bomb, ContentCoding::kGzip)
-          .ok());
+  const std::string head = "POST / HTTP/1.1\r\nHost: localhost\r\n";
+  switch (body) {
+    case Oversized::kGzipBomb: {
+      http::HttpRequest request;
+      request.headers.push_back(http::Header{"Host", "localhost"});
+      const std::string bomb(1u << 20, 'x');  // inflates far past the bound
+      ASSERT_TRUE(connection
+                      .send_request(std::move(request), bomb,
+                                    ContentCoding::kGzip)
+                      .ok());
+      break;
+    }
+    case Oversized::kContentLength:
+      ASSERT_TRUE(conn.value()
+                      ->send(head + "Content-Length: 1048576\r\n\r\n" +
+                             std::string(100, 'x'))
+                      .ok());
+      break;
+    case Oversized::kChunked:
+      ASSERT_TRUE(conn.value()
+                      ->send(head + "Transfer-Encoding: chunked\r\n\r\n" +
+                             "10000\r\n" + std::string(65536, 'x') + "\r\n" +
+                             "10\r\n" + std::string(16, 'x') + "\r\n")
+                      .ok());
+      break;
+  }
   Result<http::HttpResponse> response = connection.read_response();
   ASSERT_TRUE(response.ok()) << response.error().to_string();
   EXPECT_EQ(response.value().status, 413);
   EXPECT_NE(response.value().body.find("SOAP-ENV:Client"), std::string::npos);
+  // Each bound trips where it should: the inflate, the head, the chunks.
+  const char* const reason = body == Oversized::kGzipBomb ? "output limit"
+                             : body == Oversized::kContentLength
+                                 ? "Content-Length: body limit"
+                                 : "chunked: body limit";
+  EXPECT_NE(response.value().body.find(reason), std::string::npos)
+      << response.value().body;
   server.value()->stop();
 }
 
-TEST(WireCodingEndToEnd, BlockingEngineBoundsDecompressionWith413) {
-  expect_bomb_answers_413(server::IoModel::kBlocking);
+TEST(WireCodingEndToEnd, BlockingEngineAnswersOversizedBodiesWith413) {
+  for (const Oversized body : {Oversized::kGzipBomb, Oversized::kContentLength,
+                               Oversized::kChunked}) {
+    SCOPED_TRACE(static_cast<int>(body));
+    expect_bomb_answers_413(server::IoModel::kBlocking, body);
+  }
 }
 
-TEST(WireCodingEndToEnd, ReactorEngineBoundsDecompressionWith413) {
-  expect_bomb_answers_413(server::IoModel::kReactor);
+TEST(WireCodingEndToEnd, ReactorEngineAnswersOversizedBodiesWith413) {
+  for (const Oversized body : {Oversized::kGzipBomb, Oversized::kContentLength,
+                               Oversized::kChunked}) {
+    SCOPED_TRACE(static_cast<int>(body));
+    expect_bomb_answers_413(server::IoModel::kReactor, body);
+  }
 }
 
 // --- end-to-end coded requests ---------------------------------------------
